@@ -117,6 +117,11 @@ def _analysis_input(scenario, cap_result):
     return scenario.input_dist if scenario.input_dist is not None else cap_result.input_dist
 
 
+def _input_exit(scenario, cap_result) -> int:
+    """Exit code of a command that uses capacity only for its input."""
+    return EXIT_OK if scenario.input_dist is not None or cap_result.converged else EXIT_SOLVER
+
+
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.channels is None:
@@ -158,6 +163,12 @@ def cmd_analyze(args) -> int:
             report.add(f"rates_{kind}", f"channel[{k}]", float(r), "nats")
         report.add(f"rates_{kind}", "minimum", rep.minimum, "nats")
         report.add(f"rates_{kind}", "metric_channels", ",".join(map(str, rep.metric_indices)))
+        diag = rep.diagnostics
+        report.add("diagnostics", f"fit_iterations[{kind}]", diag["fit_iterations"])
+        report.add("diagnostics", f"bisection_steps[{kind}]", diag["bisection_steps"])
+        report.add(
+            "diagnostics", f"max_marginal_residual[{kind}]", diag["max_marginal_residual"], "probability"
+        )
 
     _emit(report, args)
     return EXIT_OK if cap.converged else EXIT_SOLVER
@@ -197,7 +208,7 @@ def cmd_one_sided(args) -> int:
     for b, blk in enumerate(cover):
         report.add("one_sided", f"cover[{b}]", ",".join(map(str, blk)))
     _emit(report, args)
-    return EXIT_OK
+    return _input_exit(scenario, cap)
 
 
 def _component_worst_directions(vnblock, p_x):
@@ -362,7 +373,7 @@ def cmd_simulate(args) -> int:
         if st.mean_error_prob is not None:
             report.add(sec, "mean_error_prob", st.mean_error_prob, "probability")
     _emit(report, args)
-    return EXIT_OK
+    return _input_exit(scenario, cap)
 
 
 def _decoder_spec(decoder: str, cset: CompoundSet, p_x: Distribution) -> DecoderSpec:

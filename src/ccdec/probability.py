@@ -179,7 +179,8 @@ def kl_divergence(p, q) -> float:
 
     Accepts matching-shape Distribution, Joint, Channel rows or raw arrays.
     Returns ``math.inf`` when ``p`` puts mass outside the support of ``q``;
-    ``0 log(0/.)`` contributes zero.
+    ``0 log(0/.)`` contributes zero.  Roundoff below zero, which nearly equal
+    arguments produce, is clamped to zero.
     """
     a = _values(p)
     b = _values(q)
@@ -190,7 +191,7 @@ def kl_divergence(p, q) -> float:
         return math.inf
     a_on = np.where(on, a, 1.0)
     b_on = np.where(on, b, 1.0)
-    return float(np.sum(np.where(on, a * (np.log(a_on) - np.log(b_on)), 0.0)))
+    return max(0.0, float(np.sum(np.where(on, a * (np.log(a_on) - np.log(b_on)), 0.0))))
 
 
 def mutual_information(input_dist: Distribution, channel: Channel) -> float:

@@ -23,8 +23,25 @@ are fitted by iterative proportional fitting (Sinkhorn scaling) so that the
 marginals match; after fitting, ``E_mu[score]`` is nondecreasing in ``lam``,
 so the active multiplier is located by bisection.
 
-All scaling runs in the log domain: multipliers up to the cap ``1e4`` times
-log-probability scores would overflow any direct kernel.
+Log-domain fitting
+------------------
+All scaling runs in the log domain.  The kernel is ``base * exp(lam * score)``
+with ``lam`` up to the cap ``1e4`` and scores that are log-probabilities, so
+its entries span far more than the floating-point exponent range: a direct
+kernel would overflow or flush whole rows to zero long before the multiplier
+settles.  Each half-step is a log-sum-exp with the row (or column) maximum
+shifted out, so the largest term is ``exp(0)`` and nothing overflows.  The
+log-sum-exp is written out in numpy because the kernels are tiny (a few
+letters a side): there, a general library routine spends several times the
+arithmetic on per-call overhead, and the fit makes thousands of calls.
+
+Dead letters
+------------
+Rows with zero ``row`` mass and columns with zero ``col`` mass carry no mass in
+any feasible joint.  They are removed once per call, the fit runs on the
+alive block, and the minimizer is scattered back with zeros in the removed
+rows and columns.  The fitted log-potentials therefore stay finite, and the
+loop needs no special handling of ``-inf`` marginals.
 
 Infeasibility
 -------------
@@ -43,12 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .probability import SUPPORT_FLOOR, Distribution, Joint, _values
 
 LAMBDA_CAP = 1e4
 INFEASIBLE_SLACK = 1e-6
+_SHIFT_FLOOR = -np.finfo(float).max
 
 
 class SolverError(RuntimeError):
@@ -99,23 +116,34 @@ def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarr
     return float(-res.fun)
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(x), axis))`` with the maximum shifted out.
+
+    A slice of all ``-inf`` gives ``-inf``: its shift is clamped to a finite
+    floor, so its terms are exact zeros rather than ``-inf - -inf``.  Every
+    other slice sums to at least 1 (its maximum contributes ``exp(0)``), so
+    clamping the sum at 1 touches only the empty slices and keeps
+    ``log(0)`` out.
+    """
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    s = np.add.reduce(np.exp(x - np.maximum(m, _SHIFT_FLOOR)), axis=axis, keepdims=True)
+    return (np.log(np.maximum(s, 1.0)) + m).squeeze(axis)
+
+
 def _log_fit(log_kernel, log_r, log_c, r, c, u, v, marginal_tol, max_iters):
     """Fit log-potentials so exp(log_kernel + u + v') has marginals (r, c)."""
     resid = math.inf
-    with np.errstate(invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            u = log_r - logsumexp(log_kernel + v[None, :], axis=1)
-            u[np.isnan(u)] = -np.inf  # dead row: -inf marginal minus -inf mass
-            v = log_c - logsumexp(log_kernel + u[:, None], axis=0)
-            v[np.isnan(v)] = -np.inf
-            if it % 2 == 0 or it == max_iters:
-                mu = np.exp(log_kernel + u[:, None] + v[None, :])
-                resid = max(
-                    np.abs(mu.sum(axis=1) - r).max(),
-                    np.abs(mu.sum(axis=0) - c).max(),
-                )
-                if resid <= marginal_tol:
-                    return mu, u, v, it, resid
+    for it in range(1, max_iters + 1):
+        u = log_r - _logsumexp(log_kernel + v, axis=1)
+        v = log_c - _logsumexp(log_kernel + u[:, None], axis=0)
+        if it % 2 == 0 or it == max_iters:
+            mu = np.exp(log_kernel + u[:, None] + v)
+            resid = max(
+                np.abs(mu.sum(axis=1) - r).max(),
+                np.abs(mu.sum(axis=0) - c).max(),
+            )
+            if resid <= marginal_tol:
+                return mu, u, v, it, resid
     raise SolverError(
         f"marginal fitting stalled: residual {resid:.3e} after {max_iters} iterations"
     )
@@ -179,13 +207,16 @@ def kl_projection(
             feasible=True,
         )
 
-    # Exact positivity here, not the display floor: a tiny-but-alive marginal
-    # must keep its kernel row alive or the scaling equations turn inconsistent.
+    # Dead letters by exact positivity, not the display floor: a tiny-but-alive
+    # marginal must keep its kernel row or the scaling equations turn inconsistent.
+    rows, cols = r > 0.0, c > 0.0
+    alive = np.ix_(rows, cols)
+    b, d, r, c = b[alive], d[alive], r[rows], c[cols]
     support = b > 0.0
     with np.errstate(divide="ignore"):
-        log_b = np.where(support, np.log(np.where(support, b, 1.0)), -np.inf)
-        log_r = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), -np.inf)
-        log_c = np.where(c > 0.0, np.log(np.where(c > 0.0, c, 1.0)), -np.inf)
+        log_b = np.log(b)
+    log_r = np.log(r)
+    log_c = np.log(c)
 
     u = np.zeros_like(r)
     v = np.zeros_like(c)
@@ -261,7 +292,9 @@ def kl_projection(
     on = mu > SUPPORT_FLOOR
     log_ratio = np.log(np.where(on, mu, 1.0)) - np.where(on, log_b, 0.0)
     value = max(0.0, float(np.sum(np.where(on, mu * log_ratio, 0.0))))
-    minimizer = Joint(np.maximum(mu, 0.0) / mu.sum())
+    full = np.zeros_like(base.matrix)
+    full[alive] = np.maximum(mu, 0.0) / mu.sum()
+    minimizer = Joint(full)
     return ProjectionResult(
         value=value,
         minimizer=minimizer,

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import ccdec.cli
 from ccdec.cli import main
 
 LOG2 = math.log(2.0)
@@ -100,6 +102,54 @@ class TestCapacityAndOneSided:
         assert res["cover_size"]["value"] == 2
         assert res["cover[0]"]["value"] == "0,1,2"
         assert res["cover[1]"]["value"] == "3,4"
+
+
+class TestUnconvergedCapacityInput:
+    """one-sided and simulate exit 3 when their input comes from an unconverged capacity run."""
+
+    COMMANDS = {
+        "one-sided": ("one-sided",),
+        "simulate": ("simulate", "--trials", "20", "--n", "16", "--rate", "0.1"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def unconverged(self, monkeypatch):
+        real = ccdec.cli.compound_capacity
+        monkeypatch.setattr(
+            ccdec.cli,
+            "compound_capacity",
+            lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), converged=False),
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_capacity_input_exits_3(self, capsys, tmp_path, command):
+        scenario = tmp_path / "pair.json"
+        scenario.write_text(json.dumps({"channels": [[[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.1, 0.9]]]}))
+        code, out = run(capsys, *self.COMMANDS[command], "--scenario", str(scenario))
+        assert code == 3
+        assert results(out)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_declared_input_exits_0(self, capsys, command):
+        code, _ = run(capsys, *self.COMMANDS[command], "--scenario", "builtin:bsc-quarter")
+        assert code == 0
+
+
+class TestAnalyzeDiagnostics:
+    def test_projection_counters_per_family(self, capsys):
+        code, out = run(capsys, "analyze", "--scenario", "builtin:bsc-quarter")
+        assert code == 0
+        diag = results(out)["diagnostics"]
+        for kind in ("ml", "map", "glrt", "gmap"):
+            assert diag[f"fit_iterations[{kind}]"]["value"] > 0
+            assert diag[f"bisection_steps[{kind}]"]["value"] > 0
+            assert 0.0 <= diag[f"max_marginal_residual[{kind}]"]["value"] <= 1e-10
+
+    def test_report_bytes_repeat(self, capsys):
+        _, first = run(capsys, "analyze", "--scenario", "builtin:union-one-sided")
+        _, second = run(capsys, "analyze", "--scenario", "builtin:union-one-sided")
+        assert "diagnostics" in results(first)
+        assert first == second
 
 
 class TestVnSweep:

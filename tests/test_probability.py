@@ -126,6 +126,14 @@ class TestKl:
         with pytest.raises(ValueError):
             kl_divergence(np.ones(2) / 2, np.ones(3) / 3)
 
+    def test_nearly_equal_arguments_not_negative(self):
+        # the unclamped sum of this pair is -4.4e-17
+        p = np.array([0.5939582519363663, 0.06675342335601325, 0.05790999541693114, 0.28137832929068934])
+        q = p.copy()
+        q[0] += 1e-13
+        q[1] -= 1e-13
+        assert kl_divergence(p, q) == 0.0
+
     @given(p=dist_strategy(4), q=dist_strategy(4))
     @settings(max_examples=100, deadline=None)
     def test_nonnegative_zero_iff_equal(self, p, q):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ccdec import Channel, Distribution, joint_of, kl_divergence, kl_projection
+from ccdec.projection import _logsumexp
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 
@@ -125,3 +127,62 @@ class TestSolverContract:
             values.append(res.value)
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-8
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self, rng):
+        for shape in ((2, 2), (3, 4), (4, 3), (5, 1)):
+            for _ in range(20):
+                x = rng.normal(scale=3.0, size=shape)
+                x[rng.random(shape) < 0.25] = -np.inf
+                # far below exp's range: only the shifted sum survives
+                x[-1] -= 1000.0
+                for axis in (0, 1):
+                    np.testing.assert_allclose(
+                        _logsumexp(x, axis), logsumexp(x, axis=axis), rtol=1e-15, atol=1e-15
+                    )
+
+    def test_all_minus_inf_row_and_column(self):
+        x = np.array([[0.3, -np.inf, -1.2], [-np.inf, -np.inf, -np.inf], [2.0, -np.inf, 0.5]])
+        for axis in (0, 1):
+            got = _logsumexp(x, axis)
+            np.testing.assert_allclose(got, logsumexp(x, axis=axis), rtol=1e-15, atol=1e-15)
+            assert got[1] == -np.inf
+
+
+class TestDeadLetters:
+    """A zero-mass letter is removed: the projection equals the one without it."""
+
+    @staticmethod
+    def project(p, w, d):
+        mu0 = joint_of(p, w)
+        threshold = float(np.sum(mu0.matrix * d))
+        return kl_projection(mu0.product, mu0.x_marginal, mu0.y_marginal, d, threshold)
+
+    def test_zero_input_letter(self, rng):
+        for _ in range(5):
+            p = random_distribution(rng, 2).probs
+            w = random_channel(rng, 3, 3).matrix
+            d = np.log(w + 0.01 * random_channel(rng, 3, 3).matrix)
+            full = self.project(Distribution(np.array([p[0], 0.0, p[1]])), Channel(w), d)
+            kept = [0, 2]
+            reduced = self.project(Distribution(p), Channel(w[kept]), d[kept])
+            assert reduced.multiplier > 0
+            assert full.value == pytest.approx(reduced.value, abs=1e-12)
+            np.testing.assert_allclose(full.minimizer.matrix[kept], reduced.minimizer.matrix, atol=1e-12)
+            assert np.all(full.minimizer.matrix[1] == 0.0)
+
+    def test_zero_output_letter(self, rng):
+        for _ in range(5):
+            w = random_channel(rng, 3, 3).matrix.copy()
+            w[:, 1] = 0.0
+            w /= w.sum(axis=1, keepdims=True)
+            p = random_distribution(rng, 3)
+            d = np.log(w + 0.01 * random_channel(rng, 3, 3).matrix)
+            full = self.project(p, Channel(w), d)
+            kept = [0, 2]
+            reduced = self.project(p, Channel(w[:, kept]), d[:, kept])
+            assert reduced.multiplier > 0
+            assert full.value == pytest.approx(reduced.value, abs=1e-12)
+            np.testing.assert_allclose(full.minimizer.matrix[:, kept], reduced.minimizer.matrix, atol=1e-12)
+            assert np.all(full.minimizer.matrix[:, 1] == 0.0)
