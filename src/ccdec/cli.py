@@ -18,21 +18,20 @@ Internally everything is in nats; ``--bits`` rescales displayed values only.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from .probability import NATS_PER_BIT, Distribution, mutual_information
+from .probability import NATS_PER_BIT, Distribution
 from .projection import SolverError
 from .rates import (
     CompoundSet,
-    build_metrics,
     compound_capacity,
     decoder_rates,
     is_one_sided,
     one_sided_cover,
     worst_channel,
+    worst_metrics,
 )
 from .scenario import Report, ScenarioError, load_scenario, render_report, write_report
 from .simulate import DecoderSpec, estimate_error
@@ -113,22 +112,41 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(text)
 
 
-def _analysis_input(scenario, cap_result):
-    return scenario.input_dist if scenario.input_dist is not None else cap_result.input_dist
-
-
-def _input_exit(scenario, cap_result) -> int:
-    """Exit code of a command that uses capacity only for its input."""
-    return EXIT_OK if scenario.input_dist is not None or cap_result.converged else EXIT_SOLVER
-
-
-def cmd_analyze(args) -> int:
+def _load(args, block: str):
+    """Load ``args.scenario`` and check that it has the ``channels`` or ``vn`` block."""
     scenario = load_scenario(args.scenario)
-    if scenario.channels is None:
-        raise ScenarioError("channels", "analyze requires channels")
-    cset = scenario.channels
-    cap = compound_capacity(cset, tol=args.tol)
-    report = Report(meta={"command": "analyze", "scenario": scenario.name, "units": "nats"})
+    if block == "channels" and scenario.channels is None:
+        raise ScenarioError("channels", f"{args.command} requires channels")
+    if block == "vn" and scenario.vn is None:
+        raise ScenarioError("vn", "scenario has no vn block")
+    return scenario
+
+
+def _input(scenario, tol: float) -> tuple[Distribution, int]:
+    """The declared input, else the capacity-achieving one, with the exit code it implies."""
+    if scenario.input_dist is not None:
+        return scenario.input_dist, EXIT_OK
+    cap = compound_capacity(scenario.channels, tol=tol)
+    return cap.input_dist, EXIT_OK if cap.converged else EXIT_SOLVER
+
+
+def _vn_input(args):
+    """The scenario with its ``vn`` block, and the declared input (uniform if none)."""
+    scenario = _load(args, "vn")
+    p_x = scenario.input_dist
+    if p_x is None:
+        p_x = Distribution.uniform(scenario.vn.directions.directions[0].nx)
+    return scenario, p_x
+
+
+def _blocks(cset: CompoundSet, p_x: Distribution, cover=None):
+    """Blocks of the generalized decoders: the declared components, else a one-sided cover."""
+    if len(cset.components) > 1:
+        return cset.components
+    return cover if cover is not None else one_sided_cover(cset, p_x)
+
+
+def _add_capacity(report: Report, cap) -> None:
     report.add("capacity", "capacity", cap.value, "nats")
     report.add("capacity", "iterations", cap.iterations)
     report.add("capacity", "certificate_gap", cap.certificate_gap, "nats")
@@ -136,7 +154,21 @@ def cmd_analyze(args) -> int:
     for a, p in enumerate(cap.input_dist.probs):
         report.add("capacity", f"input[{a}]", float(p), "probability")
 
-    p_x = _analysis_input(scenario, cap)
+
+def _add_cover(report: Report, cover) -> None:
+    report.add("one_sided", "cover_size", len(cover))
+    for b, blk in enumerate(cover):
+        report.add("one_sided", f"cover[{b}]", ",".join(map(str, blk)))
+
+
+def cmd_analyze(args) -> int:
+    scenario = _load(args, "channels")
+    cset = scenario.channels
+    cap = compound_capacity(cset, tol=args.tol)
+    report = Report(meta={"command": "analyze", "scenario": scenario.name, "units": "nats"})
+    _add_capacity(report, cap)
+
+    p_x = scenario.input_dist if scenario.input_dist is not None else cap.input_dist
     worst = worst_channel(cset, p_x)
     report.add("worst", "index", worst.index)
     report.add("worst", "tie", worst.tie)
@@ -148,11 +180,9 @@ def cmd_analyze(args) -> int:
     if verdict.witness is not None:
         report.add("one_sided", "witness", verdict.witness)
     cover = one_sided_cover(cset, p_x)
-    report.add("one_sided", "cover_size", len(cover))
-    for b, blk in enumerate(cover):
-        report.add("one_sided", f"cover[{b}]", ",".join(map(str, blk)))
+    _add_cover(report, cover)
 
-    blocks = cset.components if len(cset.components) > 1 else cover
+    blocks = _blocks(cset, p_x, cover)
     for b, blk in enumerate(blocks):
         sub_verdict = is_one_sided(cset.restrict(blk), p_x)
         report.add("one_sided", f"component[{b}]", sub_verdict.one_sided)
@@ -175,28 +205,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.channels is None:
-        raise ScenarioError("channels", "capacity requires channels")
+    scenario = _load(args, "channels")
     cap = compound_capacity(scenario.channels, tol=args.tol)
     report = Report(meta={"command": "capacity", "scenario": scenario.name, "units": "nats"})
-    report.add("capacity", "capacity", cap.value, "nats")
-    report.add("capacity", "iterations", cap.iterations)
-    report.add("capacity", "certificate_gap", cap.certificate_gap, "nats")
-    report.add("capacity", "converged", cap.converged)
-    for a, p in enumerate(cap.input_dist.probs):
-        report.add("capacity", f"input[{a}]", float(p), "probability")
+    _add_capacity(report, cap)
     _emit(report, args)
     return EXIT_OK if cap.converged else EXIT_SOLVER
 
 
 def cmd_one_sided(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.channels is None:
-        raise ScenarioError("channels", "one-sided requires channels")
+    scenario = _load(args, "channels")
     cset = scenario.channels
-    cap = compound_capacity(cset, tol=args.tol)
-    p_x = _analysis_input(scenario, cap)
+    p_x, code = _input(scenario, args.tol)
     verdict = is_one_sided(cset, p_x)
     cover = one_sided_cover(cset, p_x)
     report = Report(meta={"command": "one-sided", "scenario": scenario.name, "units": "nats"})
@@ -204,30 +224,21 @@ def cmd_one_sided(args) -> int:
     report.add("one_sided", "reason", verdict.reason)
     if verdict.witness is not None:
         report.add("one_sided", "witness", verdict.witness)
-    report.add("one_sided", "cover_size", len(cover))
-    for b, blk in enumerate(cover):
-        report.add("one_sided", f"cover[{b}]", ",".join(map(str, blk)))
+    _add_cover(report, cover)
     _emit(report, args)
-    return _input_exit(scenario, cap)
+    return code
 
 
-def _component_worst_directions(vnblock, p_x):
-    dset = vnblock.directions
-    worsts = []
-    for blk in dset.components:
-        norms = [center(dset.directions[i], p_x).centered_norm_sq for i in blk]
-        worsts.append(dset.directions[blk[int(np.argmin(norms))]])
-    return worsts
+def _component_worst_directions(dset: DirectionSet, p_x):
+    return [
+        dset.directions[blk[vn_compound_capacity(dset.restrict(blk), p_x).worst_index]]
+        for blk in dset.components
+    ]
 
 
 def cmd_vn_counterexample(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.vn is None:
-        raise ScenarioError("vn", "scenario has no vn block")
+    scenario, p_x = _vn_input(args)
     vnb = scenario.vn
-    p_x = scenario.input_dist if scenario.input_dist is not None else Distribution.uniform(
-        vnb.directions.directions[0].nx
-    )
     dset = vnb.directions
     report = Report(meta={"command": "vn counterexample", "scenario": scenario.name, "units": "vn"})
     cents = [center(d, p_x) for d in dset.directions]
@@ -239,10 +250,10 @@ def cmd_vn_counterexample(args) -> int:
 
     cap = vn_compound_capacity(dset, p_x)
     report.add("rates", "capacity", cap.value, "vn-rate")
-    verdicts = [vn_is_one_sided(_restrict(dset, blk), p_x) for blk in dset.components]
+    verdicts = [vn_is_one_sided(dset.restrict(blk), p_x) for blk in dset.components]
     for b, v in enumerate(verdicts):
         report.add("one_sided", f"component[{b}]", v.one_sided)
-    worsts = _component_worst_directions(vnb, p_x)
+    worsts = _component_worst_directions(dset, p_x)
     glrt = [vn_glrt_rate(d, worsts, p_x, vnb.noise) for d in dset.directions]
     gmap = [vn_gmap_rate(d, worsts, p_x, vnb.noise) for d in dset.directions]
     for k in range(dset.size):
@@ -257,21 +268,12 @@ def cmd_vn_counterexample(args) -> int:
     return EXIT_OK
 
 
-def _restrict(dset, indices):
-    return DirectionSet(tuple(dset.directions[i] for i in indices))
-
-
 def cmd_vn_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.vn is None:
-        raise ScenarioError("vn", "scenario has no vn block")
+    scenario, p_x = _vn_input(args)
     vnb = scenario.vn
     eps = vnb.epsilons
     if args.eps:
         eps = tuple(float(e) for e in args.eps.split(","))
-    p_x = scenario.input_dist if scenario.input_dist is not None else Distribution.uniform(
-        vnb.directions.directions[0].nx
-    )
     dirs = vnb.directions.directions
     instances = {
         "divergence": {"dist": vnb.noise, "direction": dirs[0].values[0]},
@@ -299,15 +301,9 @@ def cmd_vn_sweep(args) -> int:
 
 
 def cmd_vn_blind(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.vn is None:
-        raise ScenarioError("vn", "scenario has no vn block")
-    vnb = scenario.vn
-    p_x = scenario.input_dist if scenario.input_dist is not None else Distribution.uniform(
-        vnb.directions.directions[0].nx
-    )
-    worsts = _component_worst_directions(vnb, p_x)
-    res = blind_polytope_rate(worsts, vnb.directions, p_x)
+    scenario, p_x = _vn_input(args)
+    dset = scenario.vn.directions
+    res = blind_polytope_rate(_component_worst_directions(dset, p_x), dset, p_x)
     report = Report(meta={"command": "vn blind", "scenario": scenario.name, "units": "vn"})
     report.add("blind", "polytope_rate", res.value, "vn-rate")
     report.add("blind", "capacity", res.capacity, "vn-rate")
@@ -318,9 +314,7 @@ def cmd_vn_blind(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.channels is None:
-        raise ScenarioError("channels", "simulate requires channels")
+    scenario = _load(args, "channels")
     cset = scenario.channels
     sim = scenario.simulation
     if sim is None:
@@ -334,8 +328,7 @@ def cmd_simulate(args) -> int:
     method = args.method if args.method is not None else sim.method
     seed = args.seed if args.seed is not None else sim.seed
 
-    cap = compound_capacity(cset, tol=args.tol)
-    p_x = _analysis_input(scenario, cap)
+    p_x, code = _input(scenario, args.tol)
     spec = _decoder_spec(decoder, cset, p_x)
     stats = estimate_error(
         cset,
@@ -373,20 +366,16 @@ def cmd_simulate(args) -> int:
         if st.mean_error_prob is not None:
             report.add(sec, "mean_error_prob", st.mean_error_prob, "probability")
     _emit(report, args)
-    return _input_exit(scenario, cap)
+    return code
 
 
 def _decoder_spec(decoder: str, cset: CompoundSet, p_x: Distribution) -> DecoderSpec:
     if decoder == "mmi":
         return DecoderSpec.mmi()
     if decoder in ("ml", "map"):
-        worst = worst_channel(cset, p_x)
-        metric = build_metrics(decoder, [worst.channel], p_x)[0]
+        _, (metric,) = worst_metrics(cset, p_x, decoder)
         return DecoderSpec.linear(metric)
-    blocks = cset.components if len(cset.components) > 1 else one_sided_cover(cset, p_x)
-    worst_idx = [blk[worst_channel(cset.restrict(blk), p_x).index] for blk in blocks]
-    kind = "ml" if decoder == "glrt" else "map"
-    metrics = build_metrics(kind, [cset.channels[i] for i in worst_idx], p_x)
+    _, metrics = worst_metrics(cset, p_x, decoder, _blocks(cset, p_x))
     return DecoderSpec.generalized(metrics)
 
 

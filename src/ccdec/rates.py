@@ -16,7 +16,8 @@ Builds on the constrained divergence projection:
   condition under which the single worst-channel metric already achieves
   capacity, and a greedy partition of a channel set into such pieces.
 * ``build_metrics``: maximum-likelihood metrics ``log W_k`` and maximum a
-  posteriori metrics ``log(W_k / (mu_k)_Y)``.
+  posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` picks the
+  channels they come from for each decoder family.
 """
 
 from __future__ import annotations
@@ -487,6 +488,30 @@ class RateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def worst_metrics(
+    cset: CompoundSet,
+    input_dist: Distribution,
+    kind: str,
+    blocks: tuple[tuple[int, ...], ...] | None = None,
+) -> tuple[tuple[int, ...], list[Metric]]:
+    """Metrics of a decoder family and the channel indices they come from.
+
+    ``ml`` / ``map``: one metric, from the worst channel of the whole set.
+    ``glrt`` / ``gmap``: one ML / MAP metric per block (default: the set's
+    components), from that block's worst channel.
+    """
+    if kind in ("ml", "map"):
+        worst = worst_channel(cset, input_dist)
+        return (worst.index,), build_metrics(kind, [worst.channel], input_dist)
+    if kind not in ("glrt", "gmap"):
+        raise ValueError(f"unknown decoder kind {kind!r}")
+    blocks = blocks if blocks is not None else cset.components
+    # Block-local worst indices mapped back to global ones.
+    idx = tuple(blk[worst_channel(cset.restrict(blk), input_dist).index] for blk in blocks)
+    base_kind = "ml" if kind == "glrt" else "map"
+    return idx, build_metrics(base_kind, [cset.channels[i] for i in idx], input_dist)
+
+
 def decoder_rates(
     cset: CompoundSet,
     input_dist: Distribution,
@@ -495,25 +520,10 @@ def decoder_rates(
 ) -> RateReport:
     """Rates of the four standard decoder families against every member.
 
-    ``ml`` / ``map``: a single metric from the worst channel of the whole
-    set.  ``glrt`` / ``gmap``: one metric per cover block, from that block's
-    worst channel.
+    The metrics are those of ``worst_metrics``, with ``cover`` as the blocks
+    of ``glrt`` / ``gmap``.
     """
-    if kind in ("ml", "map"):
-        worst = worst_channel(cset, input_dist)
-        metric_idx = (worst.index,)
-        metrics = build_metrics(kind, [worst.channel], input_dist)
-    elif kind in ("glrt", "gmap"):
-        blocks = cover if cover is not None else cset.components
-        # Block-local worst indices mapped back to global ones.
-        metric_idx = tuple(
-            blk[worst_channel(cset.restrict(blk), input_dist).index] for blk in blocks
-        )
-        base_kind = "ml" if kind == "glrt" else "map"
-        metrics = build_metrics(base_kind, [cset.channels[i] for i in metric_idx], input_dist)
-    else:
-        raise ValueError(f"unknown decoder kind {kind!r}")
-
+    metric_idx, metrics = worst_metrics(cset, input_dist, kind, cover)
     rates = np.empty(cset.size)
     minimizers: list[Joint | None] = []
     bisections = 0

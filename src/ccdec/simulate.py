@@ -26,6 +26,8 @@ counts as an error.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,7 @@ from .rates import CompoundSet, Metric, _metric_values
 
 CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
-_TYPE_BUDGET = 2_000_000
+_TYPE_BUDGET = 2_000_000  # joint types one ensemble trial may enumerate
 
 # Scores within this relative band of the maximum count as tied.  Makes the
 # decoded index invariant under metric shifts d(a,b) + f(b), which move every
@@ -200,121 +202,60 @@ class TrialStats:
             raise ValueError("errors cannot exceed trials")
 
 
-def _column_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _column_compositions(total - head, parts - 1):
-            yield (head,) + (rest)
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every split of ``total`` into ``parts`` ordered nonnegative counts, one per row.
 
-
-def _binary_exceedance(y_counts, input_dist, spec, n, threshold):
-    """Exact P(score(type) >= threshold) for binary inputs.
-
-    The competitor's type is determined by, for each output symbol b, how
-    many of the n_b positions carry input symbol 1; the counts are
-    independent binomials.
+    Stars and bars: each choice of ``parts - 1`` bar slots among
+    ``total + parts - 1`` gives the gaps between consecutive bars.
     """
-    p1 = float(input_dist.probs[1])
-    axes = []
-    logprob = np.zeros(())
-    for n_b in y_counts:
-        j = np.arange(n_b + 1)
-        lp = (
-            gammaln(n_b + 1)
-            - gammaln(j + 1)
-            - gammaln(n_b - j + 1)
-            + xlogy(j, p1)
-            + xlogy(n_b - j, 1.0 - p1)
-        )
-        axes.append(j)
-        logprob = logprob[..., None] + lp
-    grids = np.meshgrid(*axes, indexing="ij")
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    bars = bars.reshape(-1, parts - 1)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)])
+    return np.diff(edges, axis=1) - 1
 
+
+def _outer_sum(terms) -> np.ndarray:
+    """Grid with axis b holding ``terms[b]``: entry (i0, i1, ...) is the sum of ``terms[b][ib]``."""
+    total = np.zeros(())
+    for t in terms:
+        total = total[..., None] + t
+    return total
+
+
+def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
+    """Exact probability that an i.i.d. competitor scores at least ``threshold``.
+
+    Given the received word, the competitor's joint type is one input-count
+    column per output letter b, a multinomial of ``n_b`` draws from the input
+    distribution, independently across letters.  Every joint type is one
+    point of the grid spanned by the per-letter columns.
+    """
+    nx = input_dist.size
+    sizes = [math.comb(int(n_b) + nx - 1, nx - 1) for n_b in y_counts]
+    if math.prod(sizes) > _TYPE_BUDGET:
+        raise ValueError(
+            "analytic competitor integration too large for this alphabet; "
+            "use method='codebook'"
+        )
+    cols = [_compositions(int(n_b), nx) for n_b in y_counts]
+    logprob = _outer_sum(
+        gammaln(n_b + 1) - gammaln(c + 1).sum(axis=1) + xlogy(c, input_dist.probs).sum(axis=1)
+        for n_b, c in zip(y_counts, cols)
+    )
     if spec.kind == "mmi":
-        h_xy = np.zeros_like(logprob)
-        ones = np.zeros_like(logprob)
-        for b, n_b in enumerate(y_counts):
-            jb = grids[b]
-            h_xy -= xlogy(jb / n, jb / n) + xlogy((n_b - jb) / n, (n_b - jb) / n)
-            ones = ones + jb
-        r1 = ones / n
-        r0 = 1.0 - r1
-        h_x = -(xlogy(r1, r1) + xlogy(r0, r0))
-        h_y = -sum(xlogy(n_b / n, n_b / n) for n_b in y_counts)
+        h_xy = _outer_sum(-xlogy(c / n, c / n).sum(axis=1) for c in cols)
+        input_freqs = (_outer_sum(c[:, a] for c in cols) / n for a in range(nx))
+        h_x = sum(-xlogy(r, r) for r in input_freqs)
+        h_y = -xlogy(y_counts / n, y_counts / n).sum()
         score = h_x + h_y - h_xy
     else:
-        per_metric = []
-        for d in spec.metrics:
-            dv = _metric_values(d)
-            s = np.zeros_like(logprob)
-            for b, n_b in enumerate(y_counts):
-                s = s + n_b * dv[0, b] + grids[b] * (dv[1, b] - dv[0, b])
-            per_metric.append(s / n)
-        score = per_metric[0]
-        for s in per_metric[1:]:
-            score = np.maximum(score, s)
-
-    mask = score >= threshold
-    if not mask.any():
-        return 0.0
-    return float(np.exp(logprob[mask]).sum())
-
-
-def _general_exceedance(y_counts, input_dist, spec, n, threshold):
-    """Exact competitor exceedance for small non-binary alphabets."""
-    nx = input_dist.size
-    budget = 1
-    for n_b in y_counts:
-        budget *= math.comb(n_b + nx - 1, nx - 1)
-        if budget > _TYPE_BUDGET:
-            raise ValueError(
-                "analytic competitor integration too large for this alphabet; "
-                "use method='codebook'"
-            )
-    log_p = np.log(np.maximum(input_dist.probs, 1e-300))
-    per_col = []
-    for n_b in y_counts:
-        entries = []
-        for comp in _column_compositions(n_b, nx):
-            c = np.array(comp)
-            lp = gammaln(n_b + 1) - gammaln(c + 1).sum() + float(c @ log_p)
-            entries.append((c, lp))
-        per_col.append(entries)
-
-    metrics = [_metric_values(d) for d in spec.metrics]
-    total = 0.0
-
-    def rec(b, counts, lp):
-        nonlocal total
-        if b == len(per_col):
-            if spec.kind == "mmi":
-                p = counts / n
-                px = p.sum(axis=1)
-                py = p.sum(axis=0)
-                score = (
-                    -xlogy(px, px).sum() - xlogy(py, py).sum() + xlogy(p, p).sum()
-                )
-            else:
-                score = max(float((counts * d).sum()) / n for d in metrics)
-            if score >= threshold:
-                total += math.exp(lp)
-            return
-        for c, clp in per_col[b]:
-            counts[:, b] = c
-            rec(b + 1, counts, lp + clp)
-
-    rec(0, np.zeros((nx, len(y_counts))), 0.0)
-    return min(total, 1.0)
-
-
-def _true_score(x, y, spec, nx, ny, n):
-    counts = joint_type_counts(x[None, :], y, nx, ny)
-    if spec.kind == "mmi":
-        return float(_type_mutual_information(counts, n)[0])
-    flat = counts.reshape(-1)
-    return max(float(flat @ _metric_values(d).ravel()) / n for d in spec.metrics)
+        per_metric = (
+            _outer_sum(c @ _metric_values(d)[:, b] for b, c in enumerate(cols)) / n
+            for d in spec.metrics
+        )
+        score = functools.reduce(np.maximum, per_metric)
+    return float(np.exp(logprob[score >= threshold]).sum())
 
 
 def estimate_error(
@@ -353,7 +294,6 @@ def estimate_error(
     ny = cset.channels[0].ny
     if input_dist.size != nx:
         raise ValueError("input distribution does not match the channel input alphabet")
-    binary_fast = nx == 2
 
     out = []
     for ch_idx, channel in enumerate(cset.channels):
@@ -384,12 +324,10 @@ def estimate_error(
                     nx, size=n, p=input_dist.probs
                 )
                 y = transmit(channel, x, [seed, ch_idx, t, 2])
-                cut = _tie_threshold(_true_score(x, y, spec, nx, ny, n))
-                y_counts = np.bincount(y, minlength=ny)
-                if binary_fast:
-                    q = _binary_exceedance(y_counts, input_dist, spec, n, cut)
-                else:
-                    q = _general_exceedance(y_counts, input_dist, spec, n, cut)
+                s_true = score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]
+                q = _competitor_exceedance(
+                    np.bincount(y, minlength=ny), input_dist, spec, n, _tie_threshold(float(s_true))
+                )
                 q = min(max(q, 0.0), 1.0)
                 if q >= 1.0:
                     e = 1.0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import Channel, Distribution, Joint, _values, joint_of, kl_divergence
-from .rates import Metric, mismatched_rate
+from .rates import Metric, OneSidedVerdict, mismatched_rate
 
 VN_TIE_TOL = 1e-9
 _CASE_TIE_TOL = 1e-12
@@ -165,6 +165,9 @@ class DirectionSet:
     def size(self) -> int:
         return len(self.directions)
 
+    def restrict(self, indices) -> "DirectionSet":
+        return DirectionSet(tuple(self.directions[i] for i in indices))
+
 
 def vn_mismatched_rate(true_dir: Direction, metric_dir: Direction, input_dist: Distribution, noise: Distribution) -> float:
     """Projection rate ``<Ltil0, Ltil1>^2 / |Ltil1|^2`` (zero on a negative inner product)."""
@@ -207,19 +210,7 @@ def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution, tie_tol: 
     )
 
 
-@dataclass
-class VnOneSidedVerdict:
-    one_sided: bool
-    witness: int | None
-    reason: str
-    worst_index: int | None
-    margins: np.ndarray | None = None
-
-    def __bool__(self):
-        return self.one_sided
-
-
-def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float = 1e-9) -> VnOneSidedVerdict:
+def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float = 1e-9) -> OneSidedVerdict:
     """Check ``|Ltil0|^2 - |LtilS|^2 - |Ltil0 - LtilS|^2 >= 0`` for every member.
 
     Equivalent to requiring a nonnegative inner product with the worst
@@ -228,7 +219,7 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float =
     """
     cap = vn_compound_capacity(dset, input_dist)
     if cap.tie:
-        return VnOneSidedVerdict(
+        return OneSidedVerdict(
             one_sided=False,
             witness=cap.tie_indices[1],
             reason=f"worst direction not unique: indices {cap.tie_indices}",
@@ -247,14 +238,14 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float =
         if abs(alt - margins[k]) > 1e-8 * max(1.0, abs(margins[k])):
             raise AssertionError("one-sided check forms disagree beyond roundoff")
         if margins[k] < -slack:
-            return VnOneSidedVerdict(
+            return OneSidedVerdict(
                 one_sided=False,
                 witness=k,
                 reason=f"direction {k} lies on the wrong side (margin {margins[k]:.3e})",
                 worst_index=cap.worst_index,
                 margins=margins,
             )
-    return VnOneSidedVerdict(
+    return OneSidedVerdict(
         one_sided=True,
         witness=None,
         reason="all members project beyond the worst direction",

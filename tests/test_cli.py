@@ -135,6 +135,17 @@ class TestUnconvergedCapacityInput:
         assert code == 0
 
 
+class TestDeclaredInputSkipsCapacity:
+    @pytest.mark.parametrize("command", sorted(TestUnconvergedCapacityInput.COMMANDS))
+    def test_capacity_not_run(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compound_capacity called despite a declared input")
+
+        monkeypatch.setattr(ccdec.cli, "compound_capacity", refuse)
+        code, _ = run(capsys, *TestUnconvergedCapacityInput.COMMANDS[command], "--scenario", "builtin:bsc-quarter")
+        assert code == 0
+
+
 class TestAnalyzeDiagnostics:
     def test_projection_counters_per_family(self, capsys):
         code, out = run(capsys, "analyze", "--scenario", "builtin:bsc-quarter")

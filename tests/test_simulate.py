@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from ccdec import (
     score_codewords,
     transmit,
 )
-from ccdec.simulate import Codebook, joint_type_counts, wilson_interval
+from ccdec.simulate import (
+    Codebook,
+    _competitor_exceedance,
+    _tie_threshold,
+    joint_type_counts,
+    wilson_interval,
+)
 
 UNIFORM = Distribution.uniform(2)
 
@@ -247,3 +255,41 @@ class TestEstimateError:
             gmap.error_rate * (1 - gmap.error_rate) / trials
         )
         assert glrt.error_rate >= gmap.error_rate + 3 * sigma
+
+
+class TestCompetitorExceedance:
+    """The joint-type enumeration against every competitor word, one by one."""
+
+    NX, NY, N = 3, 2, 4
+
+    @pytest.mark.parametrize("probs", [[0.2, 0.5, 0.3], [0.0, 1.0, 0.0]], ids=["full", "point-mass"])
+    @pytest.mark.parametrize("kind", ["linear", "generalized", "mmi"])
+    def test_matches_brute_force(self, rng, kind, probs):
+        p = Distribution(np.array(probs))
+        num_metrics = {"linear": 1, "generalized": 3, "mmi": 0}[kind]
+        metrics = tuple(Metric(rng.normal(size=(self.NX, self.NY))) for _ in range(num_metrics))
+        spec = DecoderSpec(kind, metrics)
+        words = Codebook(np.array(list(itertools.product(range(self.NX), repeat=self.N))))
+        word_probs = p.probs[words.words].prod(axis=1)
+        for y in (np.array([0, 1, 1, 0]), np.array([1, 1, 1, 1]), np.array([0, 0, 0, 1])):
+            scores = score_codewords(y, words, spec, self.NX, self.NY)
+            y_counts = np.bincount(y, minlength=self.NY)
+            for s in np.unique(scores):
+                cut = _tie_threshold(float(s))
+                want = word_probs[scores >= cut].sum()
+                got = _competitor_exceedance(y_counts, p, spec, self.N, cut)
+                assert got == pytest.approx(want, abs=1e-12)
+
+    def test_type_budget_bounds_binary_inputs(self):
+        # 2 inputs, 4 outputs, n = 256: about 65^4 = 1.8e7 joint types
+        w = Channel(np.full((2, 4), 0.25))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="use method='codebook'"):
+                estimate_error(
+                    CompoundSet((w,)), DecoderSpec.mmi(), UNIFORM, 256, 0.1, 1, seed=1, method="ensemble"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -155,6 +155,13 @@ class TestVnCompoundCapacity:
         assert res.worst_index == 1
 
 
+class TestDirectionSetRestrict:
+    def test_keeps_chosen_directions_in_order_and_drops_components(self):
+        sub = DirectionSet((L0, L1, L2), ((0, 1), (2,))).restrict((2, 0))
+        assert sub.directions == (L2, L0)
+        assert sub.components == ((0, 1),)
+
+
 class TestVnOneSided:
     def test_singleton_true(self):
         assert vn_is_one_sided(DirectionSet((L0,)), UNIFORM)
