@@ -10,8 +10,8 @@ Builds on the constrained divergence projection:
   finitely many metrics; the threshold becomes ``max_k E_mu0[d_k]`` and the
   rate the minimum of the per-metric projections.
 * ``compound_capacity``: ``max_P min_k I(P, W_k)`` over the input simplex by
-  exponentiated-gradient ascent with iterate averaging and a weighted
-  divergence upper-bound certificate.
+  cutting planes (one small LP per step, counted in ``iterations``), with
+  the LP's dual weights as an upper-bound certificate.
 * ``worst_channel`` / ``is_one_sided`` / ``one_sided_cover``: the geometric
   condition under which the single worst-channel metric already achieves
   capacity, and a greedy partition of a channel set into such pieces.
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.optimize import minimize as opt_minimize
 from scipy.special import xlogy
 
 from .probability import (
@@ -43,6 +42,9 @@ from .projection import ProjectionResult, kl_projection
 
 WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
+# HiGHS feasibility tolerances of the capacity master LP; at the defaults
+# (1e-7) the certified gap stalls between 1e-8 and 1e-7.
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +155,13 @@ def generalized_rate(input_dist: Distribution, channel: Channel, metrics, **solv
 
 
 def _per_letter_divergences(channel_matrix: np.ndarray, output_dist: np.ndarray) -> np.ndarray:
-    """D(W(.|a) || q) for every input letter a, with 0 log 0 = 0."""
+    """D(W(.|a) || q) for every input letter a, with 0 log 0 = 0.
+
+    Exact wherever ``q`` covers the support of ``W(.|a)``; a letter whose
+    row reaches outside it gets a finite, too-small value instead of +inf.
+    """
     w = channel_matrix
-    safe_q = np.where(output_dist > SUPPORT_FLOOR, output_dist, 1.0)
+    safe_q = np.where(output_dist > 0.0, output_dist, 1.0)
     terms = xlogy(w, w) - w * np.log(safe_q)
     return terms.sum(axis=1)
 
@@ -175,35 +181,6 @@ class CapacityResult:
         return iter((self.value, self.input_dist))
 
 
-def _certificate_bound(grads: np.ndarray) -> float:
-    """Tightest duality-style upper bound available at one input iterate.
-
-    For any weights ``alpha`` on the channels,
-    ``C <= max_a sum_k alpha_k D(W_k(.|a) || mu_kY(P))``; minimizing the
-    bound over the weight simplex is a small linear program.
-    """
-    K, nx = grads.shape
-    if K == 1:
-        return float(grads.max())
-    c = np.zeros(K + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([grads.T, -np.ones((nx, 1))])
-    a_eq = np.zeros((1, K + 1))
-    a_eq[0, :K] = 1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(nx),
-        A_eq=a_eq,
-        b_eq=np.ones(1),
-        bounds=[(0, None)] * K + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        return math.inf
-    return float(res.fun)
-
-
 def compound_capacity(
     cset: CompoundSet,
     tol: float = 1e-7,
@@ -211,78 +188,72 @@ def compound_capacity(
 ) -> CapacityResult:
     """Maximize ``f(P) = min_k I(P, W_k)`` over the input simplex.
 
-    ``f`` is concave (each mutual information is concave in ``P``).  The
-    ascent phase runs exponentiated-gradient steps using a supergradient of
-    the active minimum, i.e. the per-letter divergence vector
-    ``a -> D(W_k*(.|a) || mu_Y)`` of the currently worst channel; with a
-    single channel and unit step this is the classical alternating capacity
-    iteration.  Iterates are averaged, and progress is certified by the
-    weighted divergence upper bound of ``_certificate_bound``, evaluated at
-    the best iterate seen.  The phase stops when the certificate gap or the
-    successive-iterate change drops below ``tol``.
+    Kelley's cutting-plane method.  ``I(P, W) = min_q sum_a P(a) D(W(.|a) || q)``,
+    so the per-letter divergences ``g`` against any output distribution
+    ``q`` give a plane ``P -> g . P`` lying above ``I(., W)``.  Each step
+    adds one plane per channel and solves the master LP ``max t`` subject to
+    ``t <= g . P`` for every plane, ``P`` in the simplex; its solution is the
+    next query.  For any weights ``alpha`` on the planes,
+    ``C <= max_a (alpha G)(a)``; the LP's dual weights make this bound tight,
+    and it certifies the gap to the best query.  The loop stops when the gap
+    is at most ``tol``, when the LP fails or repeats a query, or after
+    ``max_iterations`` LP solves (the reported ``iterations``).
 
-    Subgradient steps alone close the gap slowly when the optimum sits on a
-    kink or a simplex face, so if the budget runs out first, a sequential
-    quadratic epigraph polish (maximize t subject to ``I_k(P) >= t``)
-    refines the iterate before the final certificate.
+    Planes are taken at the full-support point ``(p + eps/|X|) / (1 + eps)``
+    rather than at the query ``p``: where ``p`` has zeros, ``q = p W`` may
+    miss output letters and the divergences of the dead input letters come
+    out too small.  The mixture costs at most ``log(1 + eps) < tol / 4`` of
+    slack at ``p``, and needs ``tol > 0``.
 
-    The returned value is ``f`` evaluated exactly at the best iterate seen,
-    hence never an overestimate of the true capacity.
+    The returned value is ``f`` evaluated exactly at the best query, hence
+    never an overestimate of the true capacity.
     """
+    if not tol > 0.0:
+        raise ValueError(f"capacity tolerance must be positive, got {tol}")
     mats = [w.matrix for w in cset.channels]
-    K = len(mats)
     nx = mats[0].shape[0]
+    eps = tol / 4.0
 
-    def grads_at(p):
+    def planes(p):
         return np.stack([_per_letter_divergences(w, p @ w) for w in mats])
 
-    best_f = -math.inf
-    best_p = None
-
-    def note(p, grads=None):
-        nonlocal best_f, best_p
-        if grads is None:
-            grads = grads_at(p)
-        fv = float((grads @ p).min())
-        if fv > best_f:
-            best_f, best_p = fv, p.copy()
-        return fv
-
     p = np.full(nx, 1.0 / nx)
-    p_sum = np.zeros(nx)
-    gap = math.inf
+    best_f, best_p, upper = -math.inf, p, math.inf
+    cuts = np.empty((0, nx))
+    visited = set()
     iterations = 0
-    stalled = False
-
-    ascent_budget = min(600, max_iterations)
-    for it in range(1, ascent_budget + 1):
+    while True:
+        f = float((planes(p) @ p).min())
+        if f > best_f:
+            best_f, best_p = f, p
+        if upper - best_f <= tol or iterations >= max_iterations:
+            break
+        visited.add(p.tobytes())
+        cuts = np.vstack([cuts, planes((p + eps / nx) / (1.0 + eps))])
+        # Variables (P, t): minimize -t subject to t - G P <= 0, sum P = 1.
+        res = linprog(
+            np.append(np.zeros(nx), -1.0),
+            A_ub=np.hstack([-cuts, np.ones((len(cuts), 1))]),
+            b_ub=np.zeros(len(cuts)),
+            A_eq=np.append(np.ones(nx), 0.0)[None, :],
+            b_eq=np.ones(1),
+            bounds=[(0.0, None)] * nx + [(None, None)],
+            method="highs",
+            options=_LP_OPTIONS,
+        )
         iterations += 1
-        grads = grads_at(p)
-        infos = grads @ p
-        note(p, grads)
-        p_sum += p
-        g = grads[int(np.argmin(infos))]
-        eta = 1.0 if K == 1 else 1.0 / math.sqrt(it)
-        p_next = p * np.exp(eta * (g - g.max()))
-        p_next /= p_next.sum()
-        step = float(np.abs(p_next - p).max())
-        p = p_next
-        stalled = step <= min(tol, 1e-9)
-        if it % 100 == 0 or stalled or it == ascent_budget:
-            note(p_sum / p_sum.sum())
-            gap = _certificate_bound(grads_at(best_p)) - best_f
-            if gap <= tol or stalled:
-                break
+        if res.status != 0:
+            break
+        # Any nonnegative weights give a valid bound; clipping keeps roundoff out.
+        alpha = np.maximum(-res.ineqlin.marginals, 0.0)
+        upper = min(upper, float((alpha / alpha.sum() @ cuts).max()))
+        p = np.maximum(res.x[:nx], 0.0)
+        p /= p.sum()
+        if p.tobytes() in visited:
+            break
 
-    if gap > tol and max_iterations > iterations:
-        p_hat, nit = _epigraph_polish(mats, grads_at, best_p, best_f, K, nx)
-        iterations += nit
-        if p_hat is not None:
-            note(p_hat)
-        gap = _certificate_bound(grads_at(best_p)) - best_f
-
-    # The LP certificate can undershoot by its own solver tolerance.
-    gap = max(gap, 0.0)
+    # Roundoff can put the bound a hair below the value it certifies.
+    gap = max(upper - best_f, 0.0)
     return CapacityResult(
         value=best_f,
         input_dist=Distribution(best_p),
@@ -290,48 +261,6 @@ def compound_capacity(
         certificate_gap=gap,
         converged=gap <= tol,
     )
-
-
-def _epigraph_polish(mats, grads_at, p0, f0, K, nx):
-    """Refine ``max_P min_k I_k(P)`` as ``max t  s.t.  I_k(P) >= t`` on the simplex.
-
-    The mutual-information Jacobian is ``dI_k/dp_a = D(W_k(.|a)||mu_kY) - 1``;
-    warm-started sequential quadratic programming handles optima on simplex
-    faces, which multiplicative ascent approaches only asymptotically.
-    """
-
-    def cons(x):
-        return grads_at(x[:nx]) @ x[:nx] - x[-1]
-
-    def cons_jac(x):
-        jac = np.empty((K, nx + 1))
-        jac[:, :nx] = grads_at(x[:nx]) - 1.0
-        jac[:, -1] = -1.0
-        return jac
-
-    res = opt_minimize(
-        lambda x: -x[-1],
-        np.concatenate([p0, [f0]]),
-        jac=lambda x: np.concatenate([np.zeros(nx), [-1.0]]),
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * nx + [(None, None)],
-        constraints=[
-            {"type": "ineq", "fun": cons, "jac": cons_jac},
-            {
-                "type": "eq",
-                "fun": lambda x: x[:nx].sum() - 1.0,
-                "jac": lambda x: np.concatenate([np.ones(nx), [0.0]]),
-            },
-        ],
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    p_hat = np.maximum(res.x[:nx], 0.0)
-    # Boundary dust from the SQP active set is numerically dead weight.
-    p_hat[p_hat < 1e-12 * p_hat.max(initial=0.0)] = 0.0
-    total = p_hat.sum()
-    if total <= 0.0 or not np.all(np.isfinite(p_hat)):
-        return None, int(res.nit)
-    return p_hat / total, int(res.nit)
 
 
 @dataclass

@@ -82,6 +82,18 @@ class Scenario:
     schema_version: int = 1
 
 
+def _object(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(path, "expected a JSON object")
+    return raw
+
+
+def _nonempty_list(raw, path: str, what: str) -> list:
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ScenarioError(path, f"need a list of at least one {what}")
+    return raw
+
+
 def _need(raw: dict, key: str, path: str):
     if key not in raw:
         raise ScenarioError(f"{path}.{key}", "missing required field")
@@ -113,7 +125,10 @@ def _parse_channel(raw, path: str) -> Channel:
 
 
 def _parse_distribution(raw, path: str) -> Distribution:
-    p = np.array(raw, dtype=float)
+    try:
+        p = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(path, f"not a numeric vector: {exc}") from None
     if p.ndim != 1:
         raise ScenarioError(path, "expected a probability vector")
     if p.min(initial=0.0) < 0.0:
@@ -135,11 +150,10 @@ def _parse_components(raw, count: int, path: str) -> tuple[tuple[int, ...], ...]
     return blocks
 
 
-def _parse_vn(raw: dict, path: str) -> VnBlock:
+def _parse_vn(raw, path: str) -> VnBlock:
+    raw = _object(raw, path)
     noise = _parse_distribution(_need(raw, "noise", path), f"{path}.noise")
-    raw_dirs = _need(raw, "directions", path)
-    if not raw_dirs:
-        raise ScenarioError(f"{path}.directions", "need at least one direction")
+    raw_dirs = _nonempty_list(_need(raw, "directions", path), f"{path}.directions", "direction")
     dirs = []
     for k, rd in enumerate(raw_dirs):
         m = _as_matrix(rd, f"{path}.directions[{k}]")
@@ -157,24 +171,24 @@ def _parse_vn(raw: dict, path: str) -> VnBlock:
     comps = ()
     if "components" in raw:
         comps = _parse_components(raw["components"], len(dirs), f"{path}.components")
-    eps = tuple(float(e) for e in raw.get("epsilons", (0.1, 0.05, 0.025)))
+    try:
+        eps = tuple(float(e) for e in raw.get("epsilons", (0.1, 0.05, 0.025)))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}.epsilons", f"expected a list of numbers: {exc}") from None
     if any(e <= 0 for e in eps):
         raise ScenarioError(f"{path}.epsilons", "epsilons must be positive")
     return VnBlock(noise=noise, directions=DirectionSet(tuple(dirs), comps), epsilons=eps)
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError("$", "top level must be a JSON object")
+    raw = _object(raw, "$")
     version = raw.get("schema_version", 1)
     if version != 1:
         raise ScenarioError("schema_version", f"unsupported version {version}")
 
     channels = None
     if "channels" in raw:
-        raw_ch = raw["channels"]
-        if not raw_ch:
-            raise ScenarioError("channels", "need at least one channel")
+        raw_ch = _nonempty_list(raw["channels"], "channels", "channel")
         parsed = [_parse_channel(c, f"channels[{k}]") for k, c in enumerate(raw_ch)]
         shape = parsed[0].matrix.shape
         for k, ch in enumerate(parsed):
@@ -202,7 +216,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     sim = None
     if "simulation" in raw:
-        s = raw["simulation"]
+        s = _object(raw["simulation"], "simulation")
         try:
             sim = SimulationConfig(
                 block_length=int(s.get("n", 32)),

@@ -29,6 +29,14 @@ def simplex_grid_oracle(channels, steps=120):
     return best
 
 
+# A noiseless binary channel and a BSC(0.1), each with a third input letter
+# that outputs a fair coin.
+FACE_NOISELESS = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+FACE_BSC = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+# Asymmetric channel whose certificate gap stays above 1e-15.
+ASYMMETRIC = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.3, 0.45]])
+
+
 class TestClosedForms:
     def test_singleton_bsc(self):
         cap = compound_capacity(CompoundSet((Channel.bsc(0.1),)))
@@ -45,6 +53,19 @@ class TestClosedForms:
         cap = compound_capacity(CompoundSet((Channel.bsc(0.1), Channel.bsc(0.5))))
         assert cap.value == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [((), math.log(2.0)), ((FACE_BSC,), bsc_capacity_nats(0.1))],
+        ids=["noiseless", "with-bsc"],
+    )
+    def test_optimum_on_simplex_face(self, extra, expected):
+        # the third input letter is useless, so the optimum puts no mass on it
+        channels = tuple(Channel(w) for w in (FACE_NOISELESS,) + extra)
+        cap = compound_capacity(CompoundSet(channels), tol=1e-10)
+        assert cap.converged
+        assert cap.value == pytest.approx(expected, abs=1e-9)
+        assert cap.input_dist.probs[2] <= 1e-9
+
 
 class TestAgainstGridOracle:
     def test_random_pairs_binary(self, rng):
@@ -56,6 +77,8 @@ class TestAgainstGridOracle:
             assert cap.value >= oracle - 1e-6
             assert cap.value <= oracle + 5e-5
             assert cap.certificate_gap <= 1e-6
+            # the grid never overshoots the maximum, so the certified bound covers it
+            assert cap.value + cap.certificate_gap >= oracle
 
     def test_random_triple_ternary(self, rng):
         channels = tuple(random_channel(rng, 3, 3) for _ in range(3))
@@ -63,6 +86,7 @@ class TestAgainstGridOracle:
         oracle = simplex_grid_oracle(channels, steps=150)
         assert cap.value >= oracle - 1e-6
         assert cap.certificate_gap <= 1e-6
+        assert cap.value + cap.certificate_gap >= oracle
 
 
 class TestDiagnostics:
@@ -77,6 +101,29 @@ class TestDiagnostics:
             channels = tuple(random_channel(rng, 2, 2) for _ in range(3))
             cap = compound_capacity(CompoundSet(channels))
             assert cap.certificate_gap >= -1e-12
+
+    @pytest.mark.parametrize("seed", [19, 31, 46, 97])
+    def test_tight_tolerance_converges(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny, count = (int(rng.integers(2, high)) for high in (5, 5, 6))
+        channels = tuple(random_channel(rng, nx, ny) for _ in range(count))
+        cap = compound_capacity(CompoundSet(channels), tol=1e-9)
+        assert cap.converged
+        assert cap.certificate_gap <= 1e-9
+        f_at_p = min(mutual_information(cap.input_dist, w) for w in channels)
+        assert cap.value == pytest.approx(f_at_p, abs=1e-14)
+
+    def test_unreachable_tolerance_stops_on_repeated_query(self):
+        # the LP soon returns a query it has seen; the 100 000-cut budget is never reached
+        cap = compound_capacity(CompoundSet((Channel(ASYMMETRIC),)), tol=1e-15)
+        assert not cap.converged
+        assert cap.iterations < 1000
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan])
+    def test_non_positive_tolerance_rejected(self, tol):
+        # the cutting planes need a positive mixing weight to stay valid
+        with pytest.raises(ValueError):
+            compound_capacity(CompoundSet((Channel.bsc(0.2),)), tol=tol)
 
     def test_tolerance_forwarded(self):
         cap = compound_capacity(CompoundSet((Channel.bsc(0.2),)), tol=1e-4)

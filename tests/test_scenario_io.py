@@ -90,6 +90,24 @@ class TestLoadScenario:
             scenario_from_dict(raw)
         assert "directions[0]" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "extra, field_path",
+        [
+            ({"simulation": 5}, "simulation"),
+            ({"channels": 5}, "channels"),
+            ({"vn": 5}, "vn"),
+            ({"input": ["a", "b"]}, "input"),
+            (
+                {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], "epsilons": ["x"]}},
+                "vn.epsilons",
+            ),
+        ],
+    )
+    def test_wrong_field_type_rejected_with_field_path(self, extra, field_path):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(dict(MINIMAL, **extra))
+        assert exc.value.field_path == field_path
+
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError):
             load_scenario("builtin:nope")
