@@ -6,6 +6,12 @@ joint empirical type of (codeword, received word): linear decoders take the
 type-expectation of one metric, generalized decoders the maximum over
 several, and the MMI decoder the mutual information of the type itself.
 
+Input symbols are drawn by inverse CDF, one uniform per symbol: the letter
+is the number of cumulative input probabilities (divided by their total)
+at or below the uniform, which is the stream ``Generator.choice`` gives for
+the same seed.  Joint types are counted as one matrix product per input
+letter ``a``, ``(words == a) @ onehot(received)``.
+
 Two error estimators share the same estimand (the ensemble-average error of
 a fresh random codebook per trial):
 
@@ -78,9 +84,14 @@ def generate_codebook(input_dist: Distribution, block_length: int, num_codewords
         raise ValueError("block_length must be at least 1")
     if num_codewords < 2:
         raise ValueError("need at least 2 codewords")
-    rng = np.random.default_rng(seed)
-    words = rng.choice(input_dist.size, size=(num_codewords, block_length), p=input_dist.probs)
-    return Codebook(words.astype(np.int64))
+    return Codebook(_draw_symbols(input_dist.probs, (num_codewords, block_length), seed))
+
+
+def _draw_symbols(probs: np.ndarray, shape, seed) -> np.ndarray:
+    """I.i.d. letters by inverse CDF, one uniform each: the stream of ``Generator.choice``."""
+    cdf = np.cumsum(probs)
+    u = np.random.default_rng(seed).random(shape)
+    return sum((u >= c for c in cdf[:-1] / cdf[-1]), np.zeros(shape, dtype=np.int64))
 
 
 def transmit(channel: Channel, codeword, seed) -> np.ndarray:
@@ -125,12 +136,9 @@ class DecoderSpec:
 
 
 def joint_type_counts(words: np.ndarray, received: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Per-codeword joint symbol counts with the received word: (M, nx, ny)."""
-    m, n = words.shape
-    flat = words * ny + received[None, :]
-    offsets = (np.arange(m) * (nx * ny))[:, None]
-    counts = np.bincount((flat + offsets).ravel(), minlength=m * nx * ny)
-    return counts.reshape(m, nx, ny)
+    """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53."""
+    onehot = (received[:, None] == np.arange(ny)).astype(float)
+    return np.stack([(words == a) @ onehot for a in range(nx)], axis=1).astype(np.int64)
 
 
 def _type_mutual_information(counts: np.ndarray, n: int) -> np.ndarray:
@@ -258,6 +266,24 @@ def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
     return float(np.exp(logprob[score >= threshold]).sum())
 
 
+def _any_competitor_reaches(q: float, num_codewords: int) -> float:
+    """``1 - (1 - q)^(M - 1)``: the chance that one of ``M - 1`` i.i.d. competitors reaches the true score.
+
+    ``(M - 1) log(1 - q)`` is formed from ``log(M - 1)`` once ``M - 1`` no
+    longer converts to a float (``n * rate_bits`` above 1024 bits); its
+    magnitude is capped at ``e^40``, where the result is already 1.0.
+    """
+    if q >= 1.0:
+        return 1.0
+    if q <= 0.0:
+        return 0.0
+    try:
+        log_none = (num_codewords - 1) * math.log1p(-q)
+    except OverflowError:
+        log_none = -math.exp(min(math.log(num_codewords - 1) + math.log(-math.log1p(-q)), 40.0))
+    return -math.expm1(log_none)
+
+
 def estimate_error(
     cset: CompoundSet,
     spec: DecoderSpec,
@@ -276,12 +302,22 @@ def estimate_error(
     The codeword count is ``M = ceil(2^(n * rate_bits))``.  In codebook mode
     M must respect ``max_codewords``; ensemble mode handles any M.
     """
+    if block_length < 1:
+        raise ValueError("block_length must be at least 1")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    if not math.isfinite(rate_bits):
+        raise ValueError(f"rate_bits must be finite, got {rate_bits}")
     if rate_bits <= 0.0:
         raise ValueError("rate_bits must be positive")
     if method not in ("codebook", "ensemble"):
         raise ValueError(f"unknown method {method!r}")
     n = block_length
-    num_codewords = max(2, math.ceil(2.0 ** (n * rate_bits)))
+    bits = n * rate_bits
+    try:
+        num_codewords = max(2, math.ceil(2.0 ** bits))
+    except OverflowError:  # past the float range: 2^frac(bits) as a float, times 2^floor(bits) exactly
+        num_codewords = int(math.ldexp(2.0 ** (bits % 1), 52)) << (math.floor(bits) - 52)
     if method == "codebook" and num_codewords > max_codewords:
         raise ValueError(
             f"M={num_codewords} codewords exceeds the cap {max_codewords}; "
@@ -320,19 +356,13 @@ def estimate_error(
                 if s_true < cut or tied:
                     errors += 1
             else:
-                x = np.random.default_rng([seed, ch_idx, t, 0]).choice(
-                    nx, size=n, p=input_dist.probs
-                )
+                x = _draw_symbols(input_dist.probs, n, [seed, ch_idx, t, 0])
                 y = transmit(channel, x, [seed, ch_idx, t, 2])
                 s_true = score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]
                 q = _competitor_exceedance(
                     np.bincount(y, minlength=ny), input_dist, spec, n, _tie_threshold(float(s_true))
                 )
-                q = min(max(q, 0.0), 1.0)
-                if q >= 1.0:
-                    e = 1.0
-                else:
-                    e = -math.expm1((num_codewords - 1) * math.log1p(-q))
+                e = _any_competitor_reaches(q, num_codewords)
                 prob_sum += e
                 if np.random.default_rng([seed, ch_idx, t, 3]).random() < e:
                     errors += 1

@@ -225,6 +225,47 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "decoder,counts",
+        [("gmap", [(14, 3), (24, 5)]), ("mmi", [(14, 1), (24, 0)])],
+    )
+    def test_codebook_error_counts_pinned(self, capsys, decoder, counts):
+        # (errors, tie_errors) per channel, recorded with Generator.choice codebooks
+        code, out = run(
+            capsys,
+            "simulate", "--scenario", "builtin:bsc-quarter", "--method", "codebook", "--decoder", decoder,
+            "--n", "48", "--rate", "0.25", "--trials", "30", "--seed", "3",
+        )
+        assert code == 0
+        res = results(out)
+        got = [(res[c]["errors"]["value"], res[c]["tie_errors"]["value"]) for c in ("channel[0]", "channel[1]")]
+        assert got == counts
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--method", "ensemble", "--n", "0"], "block_length must be at least 1"),
+            (["--method", "codebook", "--n", "0"], "block_length must be at least 1"),
+            (["--trials", "-2"], "trials must be nonnegative"),
+            (["--rate", "nan"], "rate_bits must be finite, got nan"),
+        ],
+    )
+    def test_invalid_simulation_exits_2(self, capsys, flags, message):
+        code = main(["simulate", "--scenario", "builtin:bsc-quarter", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_codeword_count_past_float_range(self, capsys):
+        argv = ["simulate", "--scenario", "builtin:bsc-quarter", "--n", "2100", "--rate", "0.5", "--trials", "2"]
+        code, out = run(capsys, *argv, "--method", "ensemble")
+        assert code == 0
+        assert results(out)["config"]["num_codewords"]["value"] == 2**1050
+        code = main([*argv, "--method", "codebook"])
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
     def test_seed_changes_results(self, capsys):
         code_a, out_a = run(
             capsys, "simulate", "--scenario", "builtin:bsc-quarter", "--trials", "200", "--seed", "1"

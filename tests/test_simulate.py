@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from ccdec import (
 )
 from ccdec.simulate import (
     Codebook,
+    _any_competitor_reaches,
     _competitor_exceedance,
+    _draw_symbols,
     _tie_threshold,
     joint_type_counts,
     wilson_interval,
@@ -53,6 +56,33 @@ class TestGenerateCodebook:
             generate_codebook(UNIFORM, 0, 4, seed=0)
         with pytest.raises(ValueError):
             generate_codebook(UNIFORM, 4, 1, seed=0)
+
+    def test_same_words_as_generator_choice(self):
+        # the inverse-CDF draw keeps every seed's codebook of Generator.choice
+        cases = np.random.default_rng(2024)
+        for seed in range(240):
+            nx = int(cases.integers(2, 6))
+            probs = cases.dirichlet(np.ones(nx))
+            if seed % 3 == 1:
+                probs[cases.integers(nx)] = 0.0
+                probs /= probs.sum()
+            elif seed % 3 == 2:
+                probs = np.eye(nx)[cases.integers(nx)]
+            n, m = int(cases.integers(1, 40)), int(cases.integers(2, 60))
+            want = np.random.default_rng(seed).choice(nx, size=(m, n), p=probs)
+            got = generate_codebook(Distribution(probs), n, m, seed=seed).words
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            # the CDF is divided by its last entry, as in choice; scaling by 4 is exact
+            assert np.array_equal(_draw_symbols(4.0 * probs, (m, n), seed), want)
+
+    @pytest.mark.parametrize(
+        "probs", [[0.0, 1.0], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0], [0.0, 0.0, 0.3, 0.7]]
+    )
+    def test_zero_probability_letter_never_drawn(self, probs):
+        words = generate_codebook(Distribution(np.array(probs)), 500, 40, seed=17).words
+        drawn = np.bincount(words.ravel(), minlength=len(probs))
+        assert np.array_equal(drawn > 0, np.array(probs) > 0)
 
 
 class TestTransmit:
@@ -151,6 +181,20 @@ class TestJointTypes:
         assert counts.shape == (5, 2, 2)
         assert np.all(counts.sum(axis=(1, 2)) == 17)
 
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (3, 4), (5, 2), (5, 5)])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_matches_loop(self, rng, nx, ny, m):
+        n = 13
+        words = rng.integers(0, nx, size=(m, n))
+        y = rng.integers(0, ny, size=n)
+        want = np.zeros((m, nx, ny), dtype=np.int64)
+        for i in range(m):
+            for k in range(n):
+                want[i, words[i, k], y[k]] += 1
+        got = joint_type_counts(words, y, nx, ny)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
 
 class TestWilson:
     def test_interval_contains_point_estimate(self):
@@ -228,6 +272,46 @@ class TestEstimateError:
         cset = CompoundSet((Channel.bsc(0.05),))
         with pytest.raises(ValueError):
             estimate_error(cset, DecoderSpec.mmi(), UNIFORM, 16, 0.0, 10, seed=1)
+
+    @pytest.mark.parametrize("method", ["codebook", "ensemble"])
+    @pytest.mark.parametrize(
+        "n,rate,trials,message",
+        [
+            (0, 0.25, 10, "block_length must be at least 1"),
+            (-3, 0.25, 10, "block_length must be at least 1"),
+            (16, 0.25, -2, "trials must be nonnegative"),
+            (16, math.nan, 10, "rate_bits must be finite"),
+            (16, math.inf, 10, "rate_bits must be finite"),
+        ],
+    )
+    def test_inputs_validated_up_front(self, method, n, rate, trials, message):
+        cset = CompoundSet((Channel.bsc(0.05),))
+        with pytest.raises(ValueError, match=message):
+            estimate_error(cset, DecoderSpec.mmi(), UNIFORM, n, rate, trials, seed=1, method=method)
+
+    @pytest.mark.parametrize("method", ["codebook", "ensemble"])
+    def test_zero_trials_allowed(self, method):
+        cset = CompoundSet((Channel.bsc(0.05),))
+        (st,) = estimate_error(cset, DecoderSpec.mmi(), UNIFORM, 16, 0.25, 0, seed=1, method=method)
+        assert (st.trials, st.errors, st.wilson_low, st.wilson_high) == (0, 0, 0.0, 1.0)
+
+    def test_codeword_count_past_float_range(self):
+        # n * rate = 1100.8 bits: 2^(n * rate) overflows a float; M is 2^0.8 as a float times 2^1100
+        w = Channel.bsc(0.01)
+        cset = CompoundSet((w,))
+        spec = DecoderSpec.linear(Metric(np.log(w.matrix)))
+        n, rate = 1376, 0.8
+        (st,) = estimate_error(cset, spec, UNIFORM, n, rate, 3, seed=1, method="ensemble")
+        assert st.num_codewords == Fraction(2.0 ** (n * rate - 1100)) * 2**1100
+        assert 0.0 <= st.mean_error_prob < 1e-6  # rate 0.8 bits, capacity 0.92 bits
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            estimate_error(cset, spec, UNIFORM, n, rate, 3, seed=1)
+
+    def test_competitor_union_past_float_range(self):
+        # (M - 1) q = 1 with M - 1 = 2^1050 beyond any float
+        assert _any_competitor_reaches(2.0**-1050, 2**1050 + 1) == pytest.approx(-math.expm1(-1.0), rel=1e-14)
+        assert _any_competitor_reaches(0.3, 2**2000) == 1.0
+        assert _any_competitor_reaches(0.0, 2**2000) == 0.0
 
     def test_glrt_loses_to_gmap_on_embedded_mismatch_example(self):
         # the member whose centered direction opposes the other block's
