@@ -18,6 +18,7 @@ Internally everything is in nats; ``--bits`` rescales displayed values only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -33,8 +34,8 @@ from .rates import (
     worst_channel,
     worst_metrics,
 )
-from .scenario import Report, ScenarioError, load_scenario, render_report, write_report
-from .simulate import DecoderSpec, estimate_error
+from .scenario import Report, ScenarioError, SimulationConfig, load_scenario, render_report, write_report
+from .simulate import DecoderSpec, estimate_error, format_count
 from .vn import (
     DirectionSet,
     blind_polytope_rate,
@@ -316,29 +317,25 @@ def cmd_vn_blind(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = _load(args, "channels")
     cset = scenario.channels
-    sim = scenario.simulation
-    if sim is None:
-        from .scenario import SimulationConfig
-
-        sim = SimulationConfig()
-    trials = args.trials if args.trials is not None else sim.trials
-    n = args.n if args.n is not None else sim.block_length
-    rate = args.rate if args.rate is not None else sim.rate_bits
-    decoder = args.decoder if args.decoder is not None else sim.decoder
-    method = args.method if args.method is not None else sim.method
-    seed = args.seed if args.seed is not None else sim.seed
+    overrides = dict(
+        trials=args.trials, block_length=args.n, rate_bits=args.rate,
+        decoder=args.decoder, method=args.method, seed=args.seed,
+    )
+    sim = dataclasses.replace(
+        scenario.simulation or SimulationConfig(), **{k: v for k, v in overrides.items() if v is not None}
+    )
 
     p_x, code = _input(scenario, args.tol)
-    spec = _decoder_spec(decoder, cset, p_x)
+    spec = _decoder_spec(sim.decoder, cset, p_x)
     stats = estimate_error(
         cset,
         spec,
         p_x,
-        n,
-        rate,
-        trials,
-        seed,
-        method=method,
+        sim.block_length,
+        sim.rate_bits,
+        sim.trials,
+        sim.seed,
+        method=sim.method,
         fresh_codebook=sim.fresh_codebook,
         max_codewords=sim.max_codewords,
     )
@@ -346,16 +343,16 @@ def cmd_simulate(args) -> int:
         meta={
             "command": "simulate",
             "scenario": scenario.name,
-            "decoder": decoder,
-            "method": method,
+            "decoder": sim.decoder,
+            "method": sim.method,
             "units": "nats",
         }
     )
-    report.add("config", "block_length", n)
-    report.add("config", "rate", rate, "bits")
-    report.add("config", "trials", trials)
-    report.add("config", "seed", seed)
-    report.add("config", "num_codewords", stats[0].num_codewords)
+    report.add("config", "block_length", sim.block_length)
+    report.add("config", "rate", sim.rate_bits, "bits")
+    report.add("config", "trials", sim.trials)
+    report.add("config", "seed", sim.seed)
+    report.add("config", "num_codewords", format_count(stats[0].num_codewords))
     for st in stats:
         sec = f"channel[{st.channel_index}]"
         report.add(sec, "errors", st.errors)
@@ -372,11 +369,8 @@ def cmd_simulate(args) -> int:
 def _decoder_spec(decoder: str, cset: CompoundSet, p_x: Distribution) -> DecoderSpec:
     if decoder == "mmi":
         return DecoderSpec.mmi()
-    if decoder in ("ml", "map"):
-        _, (metric,) = worst_metrics(cset, p_x, decoder)
-        return DecoderSpec.linear(metric)
-    _, metrics = worst_metrics(cset, p_x, decoder, _blocks(cset, p_x))
-    return DecoderSpec.generalized(metrics)
+    blocks = _blocks(cset, p_x) if decoder in ("glrt", "gmap") else None
+    return DecoderSpec.generalized(worst_metrics(cset, p_x, decoder, blocks)[1])
 
 
 def main(argv=None) -> int:

@@ -2,13 +2,13 @@
 
 Builds on the constrained divergence projection:
 
-* ``mismatched_rate``: random-coding rate of a linear decoder scoring with a
-  single-letter metric ``d`` while the true channel is ``W0``.  It is the
-  minimum of ``D(mu || mu0^p)`` over joints with the marginals of ``mu0``
-  whose metric expectation is at least ``E_mu0[d]``.
-* ``generalized_rate``: same for a decoder taking the pointwise maximum of
-  finitely many metrics; the threshold becomes ``max_k E_mu0[d_k]`` and the
-  rate the minimum of the per-metric projections.
+* ``generalized_rate``: random-coding rate of a generalized linear decoder,
+  which scores with the pointwise maximum of finitely many single-letter
+  metrics ``d_k`` while the true channel is ``W0``.  With the threshold
+  ``t = max_k E_mu0[d_k]``, it is the smallest over ``k`` of the minimum of
+  ``D(mu || mu0^p)`` over joints with the marginals of ``mu0`` and
+  ``E_mu[d_k] >= t``.  A linear decoder is the one-metric case, and
+  ``mismatched_rate(P, W0, d)`` is ``generalized_rate(P, W0, [d])``.
 * ``compound_capacity``: ``max_P min_k I(P, W_k)`` over the input simplex by
   cutting planes (one small LP per step, counted in ``iterations``), with
   the LP's dual weights as an upper-bound certificate.
@@ -17,7 +17,9 @@ Builds on the constrained divergence projection:
   capacity, and a greedy partition of a channel set into such pieces.
 * ``build_metrics``: maximum-likelihood metrics ``log W_k`` and maximum a
   posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` picks the
-  channels they come from for each decoder family.
+  channels they come from for each decoder family, one per block.  The
+  linear ML and MAP decoders are the GLRT and GMAP decoders whose one block
+  is the whole set.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .probability import (
     SUPPORT_FLOOR,
     Channel,
     Distribution,
-    Joint,
     joint_of,
     kl_divergence,
     mutual_information,
@@ -42,6 +43,8 @@ from .projection import ProjectionResult, kl_projection
 
 WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
+# Metric kind of each decoder family: "ml" for log W, "map" for log(W / q).
+_METRIC_KIND = {"ml": "ml", "map": "map", "glrt": "ml", "gmap": "map"}
 # HiGHS feasibility tolerances of the capacity master LP; at the defaults
 # (1e-7) the certified gap stalls between 1e-8 and 1e-7.
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -108,24 +111,14 @@ class CompoundSet:
 
 
 def mismatched_rate(input_dist: Distribution, channel: Channel, metric, **solver_kwargs) -> float:
-    """Random-coding rate of the linear decoder induced by ``metric``.
-
-    ``inf D(mu || mu0^p)`` over joints with the marginals of
-    ``mu0 = input o channel`` satisfying ``E_mu[d] >= E_mu0[d]``.
-    """
-    d = _metric_values(metric)
-    mu0 = joint_of(input_dist, channel)
-    threshold = float(np.sum(mu0.matrix * d))
-    res = kl_projection(
-        mu0.product, mu0.x_marginal, mu0.y_marginal, d, threshold, **solver_kwargs
-    )
-    return res.value
+    """Random-coding rate of the linear decoder induced by ``metric``: the one-metric ``generalized_rate``."""
+    return generalized_rate(input_dist, channel, [metric], **solver_kwargs)
 
 
 def generalized_rate_detail(
     input_dist: Distribution, channel: Channel, metrics, **solver_kwargs
-) -> tuple[float, ProjectionResult | None, list[float]]:
-    """``generalized_rate`` plus the winning projection and per-metric values."""
+) -> tuple[float, ProjectionResult | None]:
+    """``generalized_rate`` plus the winning projection (None when every branch is infeasible)."""
     ds = [_metric_values(d) for d in metrics]
     if not ds:
         raise ValueError("generalized_rate: need at least one metric")
@@ -135,11 +128,10 @@ def generalized_rate_detail(
     threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
     results = [kl_projection(base, row, col, d, threshold, **solver_kwargs) for d in ds]
     values = [res.value for res in results]
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.inf, None, values
+    if not any(math.isfinite(v) for v in values):
+        return math.inf, None
     best = int(np.argmin(values))
-    return values[best], results[best], values
+    return values[best], results[best]
 
 
 def generalized_rate(input_dist: Distribution, channel: Channel, metrics, **solver_kwargs) -> float:
@@ -150,8 +142,7 @@ def generalized_rate(input_dist: Distribution, channel: Channel, metrics, **solv
     branches (+inf) drop out of the minimum unless every branch is
     infeasible.
     """
-    value, _, _ = generalized_rate_detail(input_dist, channel, metrics, **solver_kwargs)
-    return value
+    return generalized_rate_detail(input_dist, channel, metrics, **solver_kwargs)[0]
 
 
 def _per_letter_divergences(channel_matrix: np.ndarray, output_dist: np.ndarray) -> np.ndarray:
@@ -275,11 +266,16 @@ class WorstChannelResult:
         return iter((self.index, self.channel))
 
 
+def min_with_ties(values: np.ndarray, tie_tol: float) -> tuple[int, tuple[int, ...]]:
+    """First index of the minimum, and every index whose value is within ``tie_tol`` of it."""
+    idx = int(np.argmin(values))
+    return idx, tuple(int(i) for i in np.flatnonzero(values <= values[idx] + tie_tol))
+
+
 def worst_channel(cset: CompoundSet, input_dist: Distribution, tie_tol: float = WORST_TIE_TOL) -> WorstChannelResult:
     """Channel minimizing I(P, W) over the set; flags near-ties."""
     infos = np.array([mutual_information(input_dist, w) for w in cset.channels])
-    idx = int(np.argmin(infos))
-    tied = tuple(int(i) for i in np.flatnonzero(infos <= infos[idx] + tie_tol))
+    idx, tied = min_with_ties(infos, tie_tol)
     return WorstChannelResult(
         index=idx,
         channel=cset.channels[idx],
@@ -291,6 +287,13 @@ def worst_channel(cset: CompoundSet, input_dist: Distribution, tie_tol: float = 
 
 @dataclass
 class OneSidedVerdict:
+    """Outcome of a one-sided check.
+
+    ``margins[k]`` is member ``k``'s slack (negative: a violation).  The
+    check stops at the first violator, the ``witness``, so later entries are
+    NaN; ``margins`` is None when a tied worst member leaves it undefined.
+    """
+
     one_sided: bool
     witness: int | None
     reason: str
@@ -325,19 +328,13 @@ def is_one_sided(
     mu_s = joint_of(input_dist, worst.channel)
     mu_s_p = mu_s.product
     cap_term = kl_divergence(mu_s, mu_s_p)
-    margins = np.empty(cset.size)
+    margins = np.full(cset.size, math.nan)
     for k, w in enumerate(cset.channels):
         mu0 = joint_of(input_dist, w)
         lhs = kl_divergence(mu0, mu_s_p)
         rhs = kl_divergence(mu0, mu_s) + cap_term
-        if math.isinf(lhs) and math.isinf(rhs):
-            margins[k] = 0.0
-        elif math.isinf(lhs):
-            margins[k] = math.inf
-        elif math.isinf(rhs):
-            margins[k] = -math.inf
-        else:
-            margins[k] = lhs - rhs
+        # Both sides infinite counts as equality; one infinite side gives +-inf.
+        margins[k] = 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
         if margins[k] < -slack:
             return OneSidedVerdict(
                 one_sided=False,
@@ -412,7 +409,6 @@ class RateReport:
     kind: str
     rates: np.ndarray
     minimum: float
-    minimizers: list[Joint | None]
     metric_indices: tuple[int, ...]
     diagnostics: dict = field(default_factory=dict)
 
@@ -425,20 +421,20 @@ def worst_metrics(
 ) -> tuple[tuple[int, ...], list[Metric]]:
     """Metrics of a decoder family and the channel indices they come from.
 
-    ``ml`` / ``map``: one metric, from the worst channel of the whole set.
     ``glrt`` / ``gmap``: one ML / MAP metric per block (default: the set's
-    components), from that block's worst channel.
+    components), from that block's worst channel.  ``ml`` / ``map`` are
+    ``glrt`` / ``gmap`` with the whole set as their one block; ``blocks``
+    is ignored for them.
     """
-    if kind in ("ml", "map"):
-        worst = worst_channel(cset, input_dist)
-        return (worst.index,), build_metrics(kind, [worst.channel], input_dist)
-    if kind not in ("glrt", "gmap"):
+    if kind not in _METRIC_KIND:
         raise ValueError(f"unknown decoder kind {kind!r}")
-    blocks = blocks if blocks is not None else cset.components
+    if kind in ("ml", "map"):
+        blocks = (tuple(range(cset.size)),)
+    elif blocks is None:
+        blocks = cset.components
     # Block-local worst indices mapped back to global ones.
     idx = tuple(blk[worst_channel(cset.restrict(blk), input_dist).index] for blk in blocks)
-    base_kind = "ml" if kind == "glrt" else "map"
-    return idx, build_metrics(base_kind, [cset.channels[i] for i in idx], input_dist)
+    return idx, build_metrics(_METRIC_KIND[kind], [cset.channels[i] for i in idx], input_dist)
 
 
 def decoder_rates(
@@ -454,14 +450,11 @@ def decoder_rates(
     """
     metric_idx, metrics = worst_metrics(cset, input_dist, kind, cover)
     rates = np.empty(cset.size)
-    minimizers: list[Joint | None] = []
     bisections = 0
     fit_iters = 0
     residual = 0.0
     for k, w in enumerate(cset.channels):
-        value, best, _ = generalized_rate_detail(input_dist, w, metrics)
-        rates[k] = value
-        minimizers.append(best.minimizer if best is not None else None)
+        rates[k], best = generalized_rate_detail(input_dist, w, metrics)
         if best is not None:
             bisections += best.bisection_steps
             fit_iters += best.fit_iterations
@@ -470,7 +463,6 @@ def decoder_rates(
         kind=kind,
         rates=rates,
         minimum=float(rates.min()),
-        minimizers=minimizers,
         metric_indices=metric_idx,
         diagnostics={
             "bisection_steps": bisections,

@@ -31,6 +31,7 @@ floats at 12 significant digits, every numeric entry tagged with its unit.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -40,6 +41,7 @@ import numpy as np
 
 from .probability import Channel, Distribution
 from .rates import CompoundSet
+from .simulate import CODEWORD_CAP
 from .vn import Direction, DirectionSet, embed
 
 ROW_SUM_REPAIR_TOL = 1e-9
@@ -62,7 +64,7 @@ class SimulationConfig:
     decoder: str = "gmap"
     method: str = "codebook"
     fresh_codebook: bool = True
-    max_codewords: int = 2**14
+    max_codewords: int = CODEWORD_CAP
 
 
 @dataclass
@@ -217,17 +219,14 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     sim = None
     if "simulation" in raw:
         s = _object(raw["simulation"], "simulation")
+        # Each given value is converted to the type of its field's default; the
+        # scenario spells block_length as "n".
         try:
-            sim = SimulationConfig(
-                block_length=int(s.get("n", 32)),
-                rate_bits=float(s.get("rate_bits", 0.25)),
-                trials=int(s.get("trials", 500)),
-                seed=int(s.get("seed", 1)),
-                decoder=str(s.get("decoder", "gmap")),
-                method=str(s.get("method", "codebook")),
-                fresh_codebook=bool(s.get("fresh_codebook", True)),
-                max_codewords=int(s.get("max_codewords", 2**14)),
-            )
+            sim = SimulationConfig(**{
+                f.name: type(f.default)(s[key])
+                for f in dataclasses.fields(SimulationConfig)
+                if (key := "n" if f.name == "block_length" else f.name) in s
+            })
         except (TypeError, ValueError) as exc:
             raise ScenarioError("simulation", str(exc)) from None
         if sim.decoder not in ("ml", "map", "glrt", "gmap", "mmi"):

@@ -2,9 +2,11 @@
 
 Codebooks are drawn i.i.d. from the input distribution, words are sent
 through a memoryless channel, and decoders score codewords through the
-joint empirical type of (codeword, received word): linear decoders take the
-type-expectation of one metric, generalized decoders the maximum over
-several, and the MMI decoder the mutual information of the type itself.
+joint empirical type of (codeword, received word): generalized linear
+decoders take the maximum over their metrics of the metric's
+type-expectation (a linear decoder is the one-metric case, whose maximum is
+that one expectation exactly), and the MMI decoder takes the mutual
+information of the type itself.
 
 Input symbols are drawn by inverse CDF, one uniform per symbol: the letter
 is the number of cumulative input probabilities (divided by their total)
@@ -46,6 +48,7 @@ from .rates import CompoundSet, Metric, _metric_values
 CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 _TYPE_BUDGET = 2_000_000  # joint types one ensemble trial may enumerate
+_DECIMAL_LIMIT = 10**4300  # Python's default int-to-str conversion limit is 4300 digits
 
 # Scores within this relative band of the maximum count as tied.  Makes the
 # decoded index invariant under metric shifts d(a,b) + f(b), which move every
@@ -108,15 +111,12 @@ def transmit(channel: Channel, codeword, seed) -> np.ndarray:
 class DecoderSpec:
     """Which score a decoder assigns to a codeword's joint type with y."""
 
-    kind: str  # "linear" | "generalized" | "mmi"
+    kind: str  # "generalized" | "mmi"
     metrics: tuple[Metric, ...] = ()
-    tie_policy: str = "pessimistic"
 
     def __post_init__(self):
-        if self.kind not in ("linear", "generalized", "mmi"):
+        if self.kind not in ("generalized", "mmi"):
             raise ValueError(f"unknown decoder kind {self.kind!r}")
-        if self.kind == "linear" and len(self.metrics) != 1:
-            raise ValueError("linear decoder takes exactly one metric")
         if self.kind == "generalized" and len(self.metrics) < 1:
             raise ValueError("generalized decoder needs at least one metric")
         if self.kind == "mmi" and self.metrics:
@@ -124,7 +124,8 @@ class DecoderSpec:
 
     @staticmethod
     def linear(metric: Metric) -> "DecoderSpec":
-        return DecoderSpec("linear", (metric,))
+        """The linear decoder of ``metric``: the generalized decoder with that one metric."""
+        return DecoderSpec.generalized([metric])
 
     @staticmethod
     def generalized(metrics) -> "DecoderSpec":
@@ -159,12 +160,7 @@ def score_codewords(received: np.ndarray, codebook: Codebook, spec: DecoderSpec,
     if spec.kind == "mmi":
         return _type_mutual_information(counts, n)
     flat = counts.reshape(codebook.num_codewords, -1)
-    per_metric = np.stack(
-        [flat @ _metric_values(d).ravel() / n for d in spec.metrics]
-    )
-    if spec.kind == "linear":
-        return per_metric[0]
-    return per_metric.max(axis=0)
+    return np.stack([flat @ _metric_values(d).ravel() / n for d in spec.metrics]).max(axis=0)
 
 
 def decode(received: np.ndarray, codebook: Codebook, spec: DecoderSpec, nx: int, ny: int) -> int:
@@ -202,7 +198,6 @@ class TrialStats:
     num_codewords: int
     block_length: int
     method: str
-    tie_policy: str
     seed: int
 
     def __post_init__(self):
@@ -284,6 +279,18 @@ def _any_competitor_reaches(q: float, num_codewords: int) -> float:
     return -math.expm1(log_none)
 
 
+def format_count(count: int) -> int | str:
+    """``count`` if it has at most 4300 digits, else the exact text ``"m*2^e"`` with ``m`` odd.
+
+    Such a count is ``ceil(2^bits)`` past the float range, a 53-bit integer
+    times a power of two, so ``m`` stays short.
+    """
+    if count < _DECIMAL_LIMIT:
+        return count
+    e = (count & -count).bit_length() - 1
+    return f"{count >> e}*2^{e}"
+
+
 def estimate_error(
     cset: CompoundSet,
     spec: DecoderSpec,
@@ -320,7 +327,7 @@ def estimate_error(
         num_codewords = int(math.ldexp(2.0 ** (bits % 1), 52)) << (math.floor(bits) - 52)
     if method == "codebook" and num_codewords > max_codewords:
         raise ValueError(
-            f"M={num_codewords} codewords exceeds the cap {max_codewords}; "
+            f"M={format_count(num_codewords)} codewords exceeds the cap {max_codewords}; "
             "lower the rate or blocklength, or use method='ensemble'"
         )
     if method == "ensemble" and not fresh_codebook:
@@ -380,7 +387,6 @@ def estimate_error(
                 num_codewords=num_codewords,
                 block_length=n,
                 method=method,
-                tie_policy=spec.tie_policy,
                 seed=seed,
             )
         )

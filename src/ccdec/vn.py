@@ -16,10 +16,13 @@ squared norm of the projection of ``Ltil0`` onto ``Ltil1`` (zero when the
 inner product is negative).  All limits here are normalized by ``2 / e^2``.
 
 Closed forms for the generalized likelihood-ratio and generalized MAP
-decoders follow from the same projection picture; the only subtlety is that
-likelihood metrics compare raw directions while MAP metrics compare centered
-ones, which is exactly what lets a likelihood-ratio family lose rate on
-unions of one-sided components while the MAP family does not.
+decoders follow from the same projection picture, through one case-rate
+rule that builds the generalized rate from one-metric projection rates; a
+linear decoder is the generalized decoder with one metric.  The only
+subtlety is that likelihood metrics compare raw directions while MAP
+metrics compare centered ones, which is exactly what lets a
+likelihood-ratio family lose rate on unions of one-sided components while
+the MAP family does not.
 
 ``embed`` maps a direction back to an honest channel at a finite ``e``, and
 ``*_gap_table`` report how fast the exact, rescaled quantities approach
@@ -28,13 +31,14 @@ their limits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .probability import Channel, Distribution, Joint, _values, joint_of, kl_divergence
-from .rates import Metric, OneSidedVerdict, mismatched_rate
+from .rates import Metric, OneSidedVerdict, generalized_rate, min_with_ties
 
 VN_TIE_TOL = 1e-9
 _CASE_TIE_TOL = 1e-12
@@ -199,8 +203,7 @@ def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution, tie_tol: 
     norms = np.array(
         [center(d, input_dist).centered_norm_sq for d in dset.directions]
     )
-    idx = int(np.argmin(norms))
-    tied = tuple(int(i) for i in np.flatnonzero(norms <= norms[idx] + tie_tol))
+    idx, tied = min_with_ties(norms, tie_tol)
     return VnCapacityResult(
         value=float(norms[idx]),
         worst_index=idx,
@@ -226,7 +229,7 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float =
             worst_index=None,
         )
     cs = center(dset.directions[cap.worst_index], input_dist)
-    margins = np.empty(dset.size)
+    margins = np.full(dset.size, math.nan)
     for k, d in enumerate(dset.directions):
         c0 = center(d, input_dist)
         diff = norm_sq(c0.centered - cs.centered, input_dist, dset.noise)
@@ -254,64 +257,49 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float =
     )
 
 
-def _branch_rates(norm_tab, winner_score, taus_fn, num_metrics):
+def _case_rate(scores: np.ndarray, lifts, cent_norms) -> float:
+    """Very-noisy rate of a generalized decoder: the minimum of its one-metric rates.
+
+    In the case ``w`` of the best case score, metric ``k`` has the threshold
+    ``tau_k = scores[w] + lifts[0][k] + lifts[1][k] + ...`` and the rate
+    ``tau_k^2 / |Ltil_k|^2`` (0 if ``tau_k <= 0``, inf if the norm is 0).
+    Ties on the case boundary are resolved adversarially: every tied case
+    counts.
+    """
+    smax = float(scores.max())
+    winners = np.flatnonzero(scores >= smax - _CASE_TIE_TOL * max(1.0, abs(smax)))
     rates = []
-    for k in range(num_metrics):
-        tau = taus_fn(k, winner_score)
-        den = norm_tab[k]
-        if tau <= 0.0:
-            rates.append(0.0)
-        elif den <= 0.0:
-            rates.append(math.inf)
-        else:
-            rates.append(tau * tau / den)
-    return min(rates)
+    for w in winners:
+        taus = functools.reduce(np.add, lifts, float(scores[w]))
+        for tau, den in zip(taus, cent_norms):
+            rates.append(0.0 if tau <= 0.0 else math.inf if den <= 0.0 else tau * tau / den)
+    return float(min(rates))
 
 
 def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: Distribution) -> float:
     """Rate of the generalized likelihood-ratio decoder with the given metrics.
 
-    The score threshold is set by whichever metric direction the true joint
-    likes best, decided by comparing raw (non-centered) distances; ties on
-    the case boundary are resolved adversarially by evaluating every tied
-    case and keeping the minimum.
+    The case of metric ``l`` scores ``<L0, Ll> - |Ll|^2 / 2``, larger meaning
+    closer in the raw (non-centered) metric distance; its threshold lifts
+    are ``|Ll|^2 / 2`` and ``-<L0bar, Llbar>``.
     """
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_glrt_rate: need at least one metric direction")
     c0 = center(true_dir, input_dist)
     cs = [center(d, input_dist) for d in worsts]
-    l0 = true_dir.values
-    # Case score of metric l: <L0, Ll> - |Ll|^2 / 2, larger means closer in
-    # the raw metric distance.
-    scores = np.array(
-        [
-            inner(l0, d.values, input_dist, noise)
-            - 0.5 * norm_sq(d.values, input_dist, noise)
-            for d in worsts
-        ]
-    )
-    smax = float(scores.max())
-    winners = np.flatnonzero(scores >= smax - _CASE_TIE_TOL * max(1.0, abs(smax)))
-    cent_norms = [c.centered_norm_sq for c in cs]
-    bar_ips = [
-        float(np.sum(noise.probs * c0.output_avg * c.output_avg)) for c in cs
-    ]
-
-    def taus(k, winner_score):
-        raw_k = norm_sq(worsts[k].values, input_dist, noise)
-        return winner_score + 0.5 * raw_k - bar_ips[k]
-
-    return min(
-        _branch_rates(cent_norms, float(scores[w]), taus, len(worsts)) for w in winners
-    )
+    half_raw = np.array([0.5 * norm_sq(d.values, input_dist, noise) for d in worsts])
+    scores = np.array([inner(true_dir.values, d.values, input_dist, noise) for d in worsts]) - half_raw
+    bar_ips = np.array([np.sum(noise.probs * c0.output_avg * c.output_avg) for c in cs])
+    return _case_rate(scores, (half_raw, -bar_ips), [c.centered_norm_sq for c in cs])
 
 
 def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: Distribution) -> float:
     """Rate of the generalized MAP decoder with the given metric directions.
 
-    Same structure as the likelihood-ratio case, but both the case decision
-    and the thresholds live in centered coordinates, which is what restores
+    Same structure as the likelihood-ratio case, but both the case scores
+    ``<Ltil0, Ltill> - |Ltill|^2 / 2`` and the threshold lift
+    ``|Ltill|^2 / 2`` live in centered coordinates, which is what restores
     the one-sided guarantee.
     """
     worsts = list(worsts)
@@ -319,17 +307,9 @@ def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: D
         raise ValueError("vn_gmap_rate: need at least one metric direction")
     c0 = center(true_dir, input_dist)
     cs = [center(d, input_dist) for d in worsts]
-    scores = np.array([c0.inner(c) - 0.5 * c.centered_norm_sq for c in cs])
-    smax = float(scores.max())
-    winners = np.flatnonzero(scores >= smax - _CASE_TIE_TOL * max(1.0, abs(smax)))
-    cent_norms = [c.centered_norm_sq for c in cs]
-
-    def taus(k, winner_score):
-        return winner_score + 0.5 * cent_norms[k]
-
-    return min(
-        _branch_rates(cent_norms, float(scores[w]), taus, len(worsts)) for w in winners
-    )
+    half_cent = np.array([0.5 * c.centered_norm_sq for c in cs])
+    scores = np.array([c0.inner(c) for c in cs]) - half_cent
+    return _case_rate(scores, (half_cent,), [c.centered_norm_sq for c in cs])
 
 
 def embed(direction: Direction, eps: float) -> Channel:
@@ -362,22 +342,29 @@ class GapRow:
     gap: float
 
 
+def _gap_rows(exact_at, limit: float, eps_list) -> list[GapRow]:
+    """One row per ``eps``: the exact value ``exact_at(eps)`` rescaled by ``2/e^2`` against ``limit``."""
+    rows = []
+    for eps in eps_list:
+        scaled = 2.0 / eps**2 * exact_at(eps)
+        rows.append(GapRow(eps, scaled, limit, abs(scaled - limit)))
+    return rows
+
+
 def divergence_gap_table(dist: Distribution, direction, eps_list) -> list[GapRow]:
     """How fast ``(2/e^2) D(p(1+ev) || p)`` approaches the weighted norm of v."""
     p = dist.probs
     v = np.asarray(direction, dtype=float)
     if abs(float(np.sum(p * v))) > 1e-9:
         raise ValueError("direction must be p-orthogonal to constants: sum p*v = 0")
-    limit = float(np.sum(p * v * v))
-    rows = []
-    for eps in eps_list:
+
+    def exact_at(eps):
         perturbed = p * (1.0 + eps * v)
         if perturbed.min() < 0.0:
             raise ValueError(f"eps={eps} leaves the simplex")
-        exact = kl_divergence(perturbed / perturbed.sum(), p)
-        scaled = 2.0 / eps**2 * exact
-        rows.append(GapRow(eps, scaled, limit, abs(scaled - limit)))
-    return rows
+        return kl_divergence(perturbed / perturbed.sum(), p)
+
+    return _gap_rows(exact_at, float(np.sum(p * v * v)), eps_list)
 
 
 def expected_log_gap_table(
@@ -403,18 +390,14 @@ def expected_log_gap_table(
             b.values, input_dist, noise
         )
 
-    limit = 2.0 * (half_score(di, dj) - half_score(dk, dl))
-    rows = []
-    for eps in eps_list:
+    def exact_at(eps):
         mu_i = embedded_joint(di, input_dist, eps).matrix
         mu_k = embedded_joint(dk, input_dist, eps).matrix
         log_wj = np.log(embed(dj, eps).matrix)
         log_wl = np.log(embed(dl, eps).matrix)
-        e_ij = float(np.sum(mu_i * log_wj))
-        e_kl = float(np.sum(mu_k * log_wl))
-        scaled = 2.0 / eps**2 * (e_ij - e_kl)
-        rows.append(GapRow(eps, scaled, limit, abs(scaled - limit)))
-    return rows
+        return float(np.sum(mu_i * log_wj)) - float(np.sum(mu_k * log_wl))
+
+    return _gap_rows(exact_at, 2.0 * (half_score(di, dj) - half_score(dk, dl)), eps_list)
 
 
 def mismatched_rate_gap_table(
@@ -424,15 +407,12 @@ def mismatched_rate_gap_table(
     eps_list,
 ) -> list[GapRow]:
     """Exact solver rate on embedded channels vs. the projection limit."""
-    limit = vn_mismatched_rate(true_dir, metric_dir, input_dist, true_dir.noise)
-    rows = []
-    for eps in eps_list:
-        w0 = embed(true_dir, eps)
+
+    def exact_at(eps):
         d = Metric(np.log(embed(metric_dir, eps).matrix))
-        exact = mismatched_rate(input_dist, w0, d)
-        scaled = 2.0 / eps**2 * exact
-        rows.append(GapRow(eps, scaled, limit, abs(scaled - limit)))
-    return rows
+        return generalized_rate(input_dist, embed(true_dir, eps), [d])
+
+    return _gap_rows(exact_at, vn_mismatched_rate(true_dir, metric_dir, input_dist, true_dir.noise), eps_list)
 
 
 def vn_limit_gap(kind: str, instance: dict, eps_list) -> list[GapRow]:
@@ -466,32 +446,20 @@ class BlindPolytopeResult:
 def blind_polytope_rate(metric_dirs, dset: DirectionSet, input_dist: Distribution) -> BlindPolytopeResult:
     """Worst-case projection rate of fixed metric directions over a set.
 
-    ``min over members of max over metrics`` of the one-sided projection
-    rate; the ratio to the set's own capacity measures what the fixed
-    family gives up for not knowing the set.
+    ``min over members of max over metrics`` of ``vn_mismatched_rate``; the
+    ratio to the set's own capacity measures what the fixed family gives up
+    for not knowing the set.
     """
     metric_dirs = list(metric_dirs)
     if not metric_dirs:
         raise ValueError("blind_polytope_rate: need at least one metric direction")
-    cents = []
-    for u in metric_dirs:
-        c = u if isinstance(u, CenteredDirection) else center(u, input_dist)
-        if c.centered_norm_sq <= 0.0:
-            raise ValueError("blind metric directions must have nonzero centered part")
-        cents.append(c)
-    noise = dset.noise
-    best_min = math.inf
-    arg = 0
-    for k, d in enumerate(dset.directions):
-        c0 = center(d, input_dist)
-        best = 0.0
-        for c in cents:
-            ip = inner(c0.centered, c.centered, input_dist, noise)
-            if ip > 0.0:
-                best = max(best, ip * ip / c.centered_norm_sq)
-        if best < best_min:
-            best_min = best
-            arg = k
+    if any(center(u, input_dist).centered_norm_sq <= 0.0 for u in metric_dirs):
+        raise ValueError("blind metric directions must have nonzero centered part")
+    rates = [
+        max(vn_mismatched_rate(d, u, input_dist, dset.noise) for u in metric_dirs)
+        for d in dset.directions
+    ]
+    arg = int(np.argmin(rates))
     cap = vn_compound_capacity(dset, input_dist).value
-    ratio = math.inf if cap <= 0.0 else best_min / cap
-    return BlindPolytopeResult(value=best_min, capacity=cap, ratio=ratio, limiting_index=arg)
+    ratio = math.inf if cap <= 0.0 else rates[arg] / cap
+    return BlindPolytopeResult(value=rates[arg], capacity=cap, ratio=ratio, limiting_index=arg)

@@ -266,6 +266,20 @@ class TestSimulate:
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_codeword_count_past_decimal_limit(self, capsys):
+        # M = 2^16000 has 4817 digits, past Python's int-to-str limit
+        argv = ["simulate", "--scenario", "builtin:bsc-quarter", "--n", "2000", "--rate", "8", "--trials", "1"]
+        code, out = run(capsys, *argv, "--method", "ensemble")
+        assert code == 0
+        assert results(out)["config"]["num_codewords"]["value"] == "1*2^16000"
+        code = main([*argv, "--method", "codebook"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: M=1*2^16000 codewords exceeds the cap 16384; "
+            "lower the rate or blocklength, or use method='ensemble'\n"
+        )
+
     def test_seed_changes_results(self, capsys):
         code_a, out_a = run(
             capsys, "simulate", "--scenario", "builtin:bsc-quarter", "--trials", "200", "--seed", "1"

@@ -78,6 +78,17 @@ class TestIsOneSided:
             )
             assert verdict.margins[k] == pytest.approx(margin, abs=1e-12)
 
+    def test_margins_past_the_witness_are_nan(self):
+        # channel 2 (crossover 0.9) is the first violator; channel 3 is the
+        # worst channel, whose margin is never computed
+        cset = CompoundSet(tuple(Channel.bsc(q) for q in (0.1, 0.2, 0.9, 0.3)))
+        verdict = is_one_sided(cset, UNIFORM)
+        assert verdict.witness == 2
+        assert verdict.worst_index == 3
+        assert np.all(np.isfinite(verdict.margins[:3]))
+        assert verdict.margins[2] < 0.0
+        assert np.isnan(verdict.margins[3])
+
     def test_noise_segments_always_pass(self, rng):
         for _ in range(10):
             nx = int(rng.integers(2, 4))

@@ -18,6 +18,7 @@ from ccdec import (
     mutual_information,
     worst_channel,
 )
+from ccdec.rates import min_with_ties, worst_metrics
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 UNIFORM = Distribution.uniform(2)
@@ -105,6 +106,28 @@ class TestGeneralizedRate:
         assert gmap > glrt + 1e-6
 
 
+class TestLinearIsOneMetricGeneralized:
+    """A linear decoder is the generalized decoder with one metric, exactly."""
+
+    def test_mismatched_rate_is_one_metric_generalized_rate(self, rng):
+        for _ in range(10):
+            p = random_distribution(rng, 3)
+            w = random_channel(rng, 3, 4)
+            d = Metric(rng.normal(size=(3, 4)))
+            assert mismatched_rate(p, w, d) == generalized_rate(p, w, [d])
+
+    @pytest.mark.parametrize("linear, generalized", [("ml", "glrt"), ("map", "gmap")])
+    def test_linear_family_is_whole_set_block(self, rng, linear, generalized):
+        for _ in range(5):
+            cset = CompoundSet(tuple(random_channel(rng, 3, 3) for _ in range(4)), ((0, 1), (2, 3)))
+            p = random_distribution(rng, 3)
+            idx_lin, metrics_lin = worst_metrics(cset, p, linear)
+            idx_gen, metrics_gen = worst_metrics(cset, p, generalized, (tuple(range(cset.size)),))
+            assert idx_lin == idx_gen
+            assert len(metrics_lin) == len(metrics_gen) == 1
+            assert np.array_equal(metrics_lin[0].values, metrics_gen[0].values)
+
+
 class TestFullSetLikelihoodFamily:
     def test_rate_at_least_capacity_for_finite_sets(self, rng):
         # scoring with every member's likelihood is universal on finite sets
@@ -173,3 +196,8 @@ class TestWorstChannel:
         )
         assert res.tie
         assert res.tie_indices == (0, 1)
+
+
+class TestMinWithTies:
+    def test_first_minimum_and_everything_within_tolerance(self):
+        assert min_with_ties(np.array([0.3, 0.1, 0.1 + 5e-10, 0.1, 0.2]), 1e-9) == (1, (1, 2, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,8 @@ from ccdec import (
     scenario_from_dict,
     write_report,
 )
-from ccdec.scenario import BUILTIN_SCENARIOS, COUNTEREXAMPLE_DIRECTIONS
+from ccdec.scenario import BUILTIN_SCENARIOS, COUNTEREXAMPLE_DIRECTIONS, SimulationConfig
+from ccdec.simulate import CODEWORD_CAP
 
 MINIMAL = {
     "schema_version": 1,
@@ -116,6 +118,28 @@ class TestLoadScenario:
         raw = dict(MINIMAL, simulation={"decoder": "turbo"})
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
+
+
+class TestSimulationBlock:
+    def test_empty_block_gives_the_defaults(self):
+        sim = scenario_from_dict(dict(MINIMAL, simulation={})).simulation
+        assert sim == SimulationConfig()
+        assert sim.max_codewords == CODEWORD_CAP
+
+    def test_partial_block_keeps_the_other_defaults(self):
+        sim = scenario_from_dict(dict(MINIMAL, simulation={"n": 8, "decoder": "mmi", "fresh_codebook": 0})).simulation
+        assert sim == dataclasses.replace(SimulationConfig(), block_length=8, decoder="mmi", fresh_codebook=False)
+        assert type(sim.fresh_codebook) is bool
+
+    def test_values_are_converted(self):
+        sim = scenario_from_dict(dict(MINIMAL, simulation={"rate_bits": 1, "trials": "40", "seed": 2.0})).simulation
+        assert (sim.rate_bits, sim.trials, sim.seed) == (1.0, 40, 2)
+        assert (type(sim.rate_bits), type(sim.trials), type(sim.seed)) == (float, int, int)
+
+    def test_conversion_error_names_the_block(self):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(dict(MINIMAL, simulation={"trials": "many"}))
+        assert str(exc.value) == "simulation: invalid literal for int() with base 10: 'many'"
 
 
 class TestBuiltins:

@@ -25,6 +25,7 @@ from ccdec.simulate import (
     _competitor_exceedance,
     _draw_symbols,
     _tie_threshold,
+    format_count,
     joint_type_counts,
     wilson_interval,
 )
@@ -154,6 +155,22 @@ class TestDecode:
             lin = decode(y, cb, DecoderSpec.linear(d), 2, 2)
             gen = decode(y, cb, DecoderSpec.generalized([d]), 2, 2)
             assert lin == gen
+
+    def test_linear_scores_are_one_metric_generalized_bitwise(self, rng):
+        p = Distribution(np.array([0.2, 0.5, 0.3]))
+        d = Metric(rng.normal(size=(3, 2)))
+        cb = generate_codebook(p, 24, 64, seed=14)
+        y = rng.integers(0, 2, size=24)
+        lin = score_codewords(y, cb, DecoderSpec.linear(d), 3, 2)
+        gen = score_codewords(y, cb, DecoderSpec.generalized([d]), 3, 2)
+        expectation = joint_type_counts(cb.words, y, 3, 2).reshape(64, -1) @ d.values.ravel() / 24
+        assert lin.tobytes() == gen.tobytes() == expectation.tobytes()
+
+    def test_no_separate_linear_kind(self):
+        d = Metric(np.zeros((2, 2)))
+        assert DecoderSpec.linear(d) == DecoderSpec.generalized([d])
+        with pytest.raises(ValueError, match="unknown decoder kind 'linear'"):
+            DecoderSpec("linear", (d,))
 
     def test_generalized_uniform_shift_invariance(self, rng):
         ds = [Metric(rng.normal(size=(2, 2))) for _ in range(3)]
@@ -341,6 +358,17 @@ class TestEstimateError:
         assert glrt.error_rate >= gmap.error_rate + 3 * sigma
 
 
+class TestFormatCount:
+    def test_counts_up_to_4300_digits_stay_integers(self):
+        assert format_count(2) == 2
+        assert format_count(10**4300 - 1) == 10**4300 - 1
+        assert format_count(2**14284) == 2**14284  # 4300 digits
+
+    def test_larger_counts_become_odd_times_power_of_two(self):
+        assert format_count(2**14285) == "1*2^14285"  # 4301 digits
+        assert format_count(3 * 2**20000) == "3*2^20000"
+
+
 class TestCompetitorExceedance:
     """The joint-type enumeration against every competitor word, one by one."""
 
@@ -351,8 +379,12 @@ class TestCompetitorExceedance:
     def test_matches_brute_force(self, rng, kind, probs):
         p = Distribution(np.array(probs))
         num_metrics = {"linear": 1, "generalized": 3, "mmi": 0}[kind]
-        metrics = tuple(Metric(rng.normal(size=(self.NX, self.NY))) for _ in range(num_metrics))
-        spec = DecoderSpec(kind, metrics)
+        metrics = [Metric(rng.normal(size=(self.NX, self.NY))) for _ in range(num_metrics)]
+        spec = {
+            "linear": lambda: DecoderSpec.linear(metrics[0]),
+            "generalized": lambda: DecoderSpec.generalized(metrics),
+            "mmi": DecoderSpec.mmi,
+        }[kind]()
         words = Codebook(np.array(list(itertools.product(range(self.NX), repeat=self.N))))
         word_probs = p.probs[words.words].prod(axis=1)
         for y in (np.array([0, 1, 1, 0]), np.array([1, 1, 1, 1]), np.array([0, 0, 0, 1])):

@@ -177,6 +177,13 @@ class TestVnOneSided:
         assert not verdict.one_sided
         assert verdict.witness == 0
 
+    def test_margins_past_the_witness_are_nan(self):
+        # L2 is the worst direction; L0 violates first, so L2's margin is never computed
+        verdict = vn_is_one_sided(DirectionSet((L0, L2)), UNIFORM)
+        assert verdict.witness == 0
+        assert verdict.margins[0] < 0.0
+        assert np.isnan(verdict.margins[1])
+
     def test_tie_declines(self):
         verdict = vn_is_one_sided(DirectionSet((L1, L2)), UNIFORM)
         assert not verdict.one_sided
@@ -301,6 +308,14 @@ class TestLimitGaps:
 
 
 class TestBlindPolytope:
+    def test_value_is_min_over_members_of_best_metric_rate(self, rng):
+        noise = Distribution(np.array([0.2, 0.3, 0.5]))
+        p = Distribution(np.array([0.3, 0.7]))
+        dirs = [random_direction(rng, 2, noise) for _ in range(5)]
+        metrics = [dirs[1], dirs[3], random_direction(rng, 2, noise)]
+        want = min(max(vn_mismatched_rate(d, u, p, noise) for u in metrics) for d in dirs)
+        assert blind_polytope_rate(metrics, DirectionSet(tuple(dirs)), p).value == want
+
     def test_matched_direction_reaches_capacity(self):
         dset = DirectionSet((L0, L1))
         res = blind_polytope_rate([L1], dset, UNIFORM)
