@@ -16,7 +16,6 @@ from .probability import (
     joint_of,
     kl_divergence,
     mutual_information,
-    nats_to_bits,
 )
 from .projection import ProjectionResult, SolverError, kl_projection
 from .rates import (

@@ -11,8 +11,14 @@ Subcommands
                 (fixed-metric polytope rate).
 ``simulate``    Monte Carlo decoder error estimation.
 
+Every subcommand takes ``--scenario``, ``--out`` and ``--format``.  The
+subcommands that may run the capacity solver (``analyze``, ``capacity``,
+``one-sided``, ``simulate``) take its tolerance ``--tol``; the two whose
+reports carry nats (``analyze``, ``capacity``) take ``--bits``, which
+rescales displayed values only; ``simulate`` takes ``--seed`` with its other
+overrides.  Internally everything is in nats.
+
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence.
-Internally everything is in nats; ``--bits`` rescales displayed values only.
 """
 
 from __future__ import annotations
@@ -59,18 +65,15 @@ def _add_common(p: argparse.ArgumentParser, scenario_default=None):
         p.add_argument("--scenario", default=scenario_default)
     p.add_argument("--out", help="write the report to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--bits", action="store_true", help="display rates in bits instead of nats")
-    p.add_argument("--tol", type=float, default=1e-7, help="capacity solver tolerance (nats)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ccdec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("analyze", help="full rate analysis of a compound set"))
-    _add_common(sub.add_parser("capacity", help="compound capacity only"))
-    _add_common(sub.add_parser("one-sided", help="one-sided verdict and cover"))
+    analyze = sub.add_parser("analyze", help="full rate analysis of a compound set")
+    capacity = sub.add_parser("capacity", help="compound capacity only")
+    one_sided = sub.add_parser("one-sided", help="one-sided verdict and cover")
 
     vn = sub.add_parser("vn", help="very-noisy geometry studies")
     vnsub = vn.add_subparsers(dest="vn_command", required=True)
@@ -81,7 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vnsub.add_parser("blind"), scenario_default="builtin:counterexample")
 
     sim = sub.add_parser("simulate", help="Monte Carlo decoder error estimation")
-    _add_common(sim)
+    for p in (analyze, capacity, one_sided, sim):
+        _add_common(p)
+        p.add_argument("--tol", type=float, default=1e-7, help="capacity solver tolerance (nats)")
+    for p in (analyze, capacity):
+        p.add_argument("--bits", action="store_true", help="display rates in bits instead of nats")
+    sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--n", type=int, default=None, help="block length")
     sim.add_argument("--rate", type=float, default=None, help="rate in bits per symbol")
@@ -104,13 +112,11 @@ def _display(report: Report, bits: bool) -> Report:
 
 
 def _emit(report: Report, args) -> None:
-    shown = _display(report, args.bits)
-    text = render_report(shown, args.format)
     if args.out:
-        write_report(shown, args.out, args.format)
+        write_report(report, args.out, args.format)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_report(report, args.format))
 
 
 def _load(args, block: str):
@@ -201,7 +207,7 @@ def cmd_analyze(args) -> int:
             "diagnostics", f"max_marginal_residual[{kind}]", diag["max_marginal_residual"], "probability"
         )
 
-    _emit(report, args)
+    _emit(_display(report, args.bits), args)
     return EXIT_OK if cap.converged else EXIT_SOLVER
 
 
@@ -210,7 +216,7 @@ def cmd_capacity(args) -> int:
     cap = compound_capacity(scenario.channels, tol=args.tol)
     report = Report(meta={"command": "capacity", "scenario": scenario.name, "units": "nats"})
     _add_capacity(report, cap)
-    _emit(report, args)
+    _emit(_display(report, args.bits), args)
     return EXIT_OK if cap.converged else EXIT_SOLVER
 
 
@@ -239,8 +245,7 @@ def _component_worst_directions(dset: DirectionSet, p_x):
 
 def cmd_vn_counterexample(args) -> int:
     scenario, p_x = _vn_input(args)
-    vnb = scenario.vn
-    dset = vnb.directions
+    dset = scenario.vn.directions
     report = Report(meta={"command": "vn counterexample", "scenario": scenario.name, "units": "vn"})
     cents = [center(d, p_x) for d in dset.directions]
     for k, c in enumerate(cents):
@@ -255,8 +260,8 @@ def cmd_vn_counterexample(args) -> int:
     for b, v in enumerate(verdicts):
         report.add("one_sided", f"component[{b}]", v.one_sided)
     worsts = _component_worst_directions(dset, p_x)
-    glrt = [vn_glrt_rate(d, worsts, p_x, vnb.noise) for d in dset.directions]
-    gmap = [vn_gmap_rate(d, worsts, p_x, vnb.noise) for d in dset.directions]
+    glrt = [vn_glrt_rate(d, worsts, p_x) for d in dset.directions]
+    gmap = [vn_gmap_rate(d, worsts, p_x) for d in dset.directions]
     for k in range(dset.size):
         report.add("rates", f"glrt[{k}]", glrt[k], "vn-rate")
         report.add("rates", f"gmap[{k}]", gmap[k], "vn-rate")
@@ -390,7 +395,7 @@ def main(argv=None) -> int:
             }[args.vn_command]
             return handler(args)
         return handlers[args.command](args)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -26,10 +26,6 @@ SUM_TOL = 1e-12
 NATS_PER_BIT = math.log(2.0)
 
 
-def nats_to_bits(x: float) -> float:
-    return x / NATS_PER_BIT
-
-
 def _validated(arr, name: str) -> np.ndarray:
     a = np.array(arr, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -67,10 +63,6 @@ class Distribution:
     @property
     def size(self) -> int:
         return self.probs.shape[0]
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.probs > SUPPORT_FLOOR
 
     @staticmethod
     def uniform(n: int) -> "Distribution":

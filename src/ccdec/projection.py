@@ -65,6 +65,9 @@ from .probability import SUPPORT_FLOOR, Distribution, Joint, _values
 
 LAMBDA_CAP = 1e4
 INFEASIBLE_SLACK = 1e-6
+# Fit budget at lam = 0 (it grows by 12 per unit of lam) and bisection cap.
+MAX_FIT_ITERS = 5000
+MAX_BISECTIONS = 120
 _SHIFT_FLOOR = -np.finfo(float).max
 
 
@@ -158,9 +161,6 @@ def kl_projection(
     *,
     marginal_tol: float = 1e-10,
     constraint_tol: float = 1e-8,
-    lambda_cap: float = LAMBDA_CAP,
-    max_fit_iters: int = 5000,
-    max_bisections: int = 120,
 ) -> ProjectionResult:
     """Project ``base`` onto {mu : mu_X = row, mu_Y = col, E_mu[score] >= threshold}.
 
@@ -225,7 +225,7 @@ def kl_projection(
     def fit(lam, u0, v0):
         # The scaling slows down as the kernel concentrates; grow the budget.
         nonlocal total_fit_iters
-        budget = min(200_000, max_fit_iters + int(12.0 * lam))
+        budget = MAX_FIT_ITERS + int(12.0 * lam)
         mu, uu, vv, its, resid = _log_fit(
             log_b + lam * d, log_r, log_c, r, c, u0, v0, marginal_tol, budget
         )
@@ -236,7 +236,7 @@ def kl_projection(
         return ProjectionResult(
             value=math.inf,
             minimizer=None,
-            multiplier=lambda_cap,
+            multiplier=LAMBDA_CAP,
             bisection_steps=0,
             fit_iterations=total_fit_iters,
             marginal_residual=resid,
@@ -250,12 +250,12 @@ def kl_projection(
     capped = False
     reachable = None
     while True:
-        hi = min(hi, lambda_cap)
+        hi = min(hi, LAMBDA_CAP)
         mu, expect, u, v, resid = fit(hi, u, v)
         if expect >= threshold:
             break
         lo = hi
-        if hi >= lambda_cap:
+        if hi >= LAMBDA_CAP:
             capped = True
             break
         hi *= 2.0
@@ -275,7 +275,7 @@ def kl_projection(
     lam = hi
     if not capped:
         target_tol = min(constraint_tol, 1e-10)
-        for steps in range(1, max_bisections + 1):
+        for steps in range(1, MAX_BISECTIONS + 1):
             if abs(expect - threshold) <= target_tol or hi - lo <= 1e-15 * max(1.0, hi):
                 break
             lam = 0.5 * (lo + hi)

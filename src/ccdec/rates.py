@@ -43,6 +43,8 @@ from .projection import ProjectionResult, kl_projection
 
 WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
+# LP solves after which ``compound_capacity`` stops short of its tolerance.
+CAPACITY_MAX_ITERATIONS = 100_000
 # Metric kind of each decoder family: "ml" for log W, "map" for log(W / q).
 _METRIC_KIND = {"ml": "ml", "map": "map", "glrt": "ml", "gmap": "map"}
 # HiGHS feasibility tolerances of the capacity master LP; at the defaults
@@ -167,16 +169,8 @@ class CapacityResult:
     certificate_gap: float
     converged: bool
 
-    def __iter__(self):
-        # Allows ``C, P = compound_capacity(...)``.
-        return iter((self.value, self.input_dist))
 
-
-def compound_capacity(
-    cset: CompoundSet,
-    tol: float = 1e-7,
-    max_iterations: int = 100_000,
-) -> CapacityResult:
+def compound_capacity(cset: CompoundSet, tol: float = 1e-7) -> CapacityResult:
     """Maximize ``f(P) = min_k I(P, W_k)`` over the input simplex.
 
     Kelley's cutting-plane method.  ``I(P, W) = min_q sum_a P(a) D(W(.|a) || q)``,
@@ -188,7 +182,7 @@ def compound_capacity(
     ``C <= max_a (alpha G)(a)``; the LP's dual weights make this bound tight,
     and it certifies the gap to the best query.  The loop stops when the gap
     is at most ``tol``, when the LP fails or repeats a query, or after
-    ``max_iterations`` LP solves (the reported ``iterations``).
+    ``CAPACITY_MAX_ITERATIONS`` LP solves (the reported ``iterations``).
 
     Planes are taken at the full-support point ``(p + eps/|X|) / (1 + eps)``
     rather than at the query ``p``: where ``p`` has zeros, ``q = p W`` may
@@ -217,7 +211,7 @@ def compound_capacity(
         f = float((planes(p) @ p).min())
         if f > best_f:
             best_f, best_p = f, p
-        if upper - best_f <= tol or iterations >= max_iterations:
+        if upper - best_f <= tol or iterations >= CAPACITY_MAX_ITERATIONS:
             break
         visited.add(p.tobytes())
         cuts = np.vstack([cuts, planes((p + eps / nx) / (1.0 + eps))])
@@ -262,9 +256,6 @@ class WorstChannelResult:
     tie: bool
     tie_indices: tuple[int, ...]
 
-    def __iter__(self):
-        return iter((self.index, self.channel))
-
 
 def min_with_ties(values: np.ndarray, tie_tol: float) -> tuple[int, tuple[int, ...]]:
     """First index of the minimum, and every index whose value is within ``tie_tol`` of it."""
@@ -272,10 +263,10 @@ def min_with_ties(values: np.ndarray, tie_tol: float) -> tuple[int, tuple[int, .
     return idx, tuple(int(i) for i in np.flatnonzero(values <= values[idx] + tie_tol))
 
 
-def worst_channel(cset: CompoundSet, input_dist: Distribution, tie_tol: float = WORST_TIE_TOL) -> WorstChannelResult:
+def worst_channel(cset: CompoundSet, input_dist: Distribution) -> WorstChannelResult:
     """Channel minimizing I(P, W) over the set; flags near-ties."""
     infos = np.array([mutual_information(input_dist, w) for w in cset.channels])
-    idx, tied = min_with_ties(infos, tie_tol)
+    idx, tied = min_with_ties(infos, WORST_TIE_TOL)
     return WorstChannelResult(
         index=idx,
         channel=cset.channels[idx],
@@ -304,9 +295,7 @@ class OneSidedVerdict:
         return self.one_sided
 
 
-def is_one_sided(
-    cset: CompoundSet, input_dist: Distribution, slack: float = ONE_SIDED_SLACK
-) -> OneSidedVerdict:
+def is_one_sided(cset: CompoundSet, input_dist: Distribution) -> OneSidedVerdict:
     """Check whether every member satisfies the worst-channel divergence split.
 
     With ``mu_S`` the joint of the worst channel, the set is one-sided when
@@ -335,7 +324,7 @@ def is_one_sided(
         rhs = kl_divergence(mu0, mu_s) + cap_term
         # Both sides infinite counts as equality; one infinite side gives +-inf.
         margins[k] = 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
-        if margins[k] < -slack:
+        if margins[k] < -ONE_SIDED_SLACK:
             return OneSidedVerdict(
                 one_sided=False,
                 witness=k,

@@ -346,6 +346,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError("$", f"no such file: {path}") from None
+    except OSError as exc:
+        raise ScenarioError("$", f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError("$", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return scenario_from_dict(raw, name=path)

@@ -171,9 +171,10 @@ def decode(received: np.ndarray, codebook: Codebook, spec: DecoderSpec, nx: int,
     return int(np.argmax(scores >= _tie_threshold(float(scores.max()))))
 
 
-def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
+    z = _WILSON_Z
     p = errors / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom

@@ -18,7 +18,9 @@ inner product is negative).  All limits here are normalized by ``2 / e^2``.
 Closed forms for the generalized likelihood-ratio and generalized MAP
 decoders follow from the same projection picture, through one case-rate
 rule that builds the generalized rate from one-metric projection rates; a
-linear decoder is the generalized decoder with one metric.  The only
+linear decoder is the generalized decoder with one metric.  The rates weigh
+by the noise distribution the directions carry, and reject a metric
+direction whose noise differs from the true direction's.  The only
 subtlety is that likelihood metrics compare raw directions while MAP
 metrics compare centered ones, which is exactly what lets a
 likelihood-ratio family lose rate on unions of one-sided components while
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import Channel, Distribution, Joint, _values, joint_of, kl_divergence
-from .rates import Metric, OneSidedVerdict, generalized_rate, min_with_ties
+from .rates import ONE_SIDED_SLACK, Metric, OneSidedVerdict, generalized_rate, min_with_ties
 
 VN_TIE_TOL = 1e-9
 _CASE_TIE_TOL = 1e-12
@@ -135,6 +137,14 @@ def center(direction: Direction, input_dist: Distribution) -> CenteredDirection:
     )
 
 
+def _shared_noise(dirs) -> Distribution:
+    """The noise distribution of ``dirs[0]``, which every other direction must share."""
+    noise = dirs[0].noise
+    if any(not np.array_equal(d.noise.probs, noise.probs) for d in dirs[1:]):
+        raise ValueError("all directions must share the noise distribution")
+    return noise
+
+
 @dataclass(frozen=True)
 class DirectionSet:
     """A finite compound set of directions sharing one noise distribution."""
@@ -146,13 +156,11 @@ class DirectionSet:
         dirs = tuple(self.directions)
         if not dirs:
             raise ValueError("DirectionSet: need at least one direction")
-        noise = dirs[0].noise
         shape = dirs[0].values.shape
         for k, d in enumerate(dirs):
             if d.values.shape != shape:
                 raise ValueError(f"DirectionSet: direction {k} has mismatched shape")
-            if not np.array_equal(d.noise.probs, noise.probs):
-                raise ValueError("DirectionSet: all directions must share the noise distribution")
+        _shared_noise(dirs)
         comps = tuple(tuple(int(i) for i in blk) for blk in self.components)
         if not comps:
             comps = (tuple(range(len(dirs))),)
@@ -173,8 +181,9 @@ class DirectionSet:
         return DirectionSet(tuple(self.directions[i] for i in indices))
 
 
-def vn_mismatched_rate(true_dir: Direction, metric_dir: Direction, input_dist: Distribution, noise: Distribution) -> float:
+def vn_mismatched_rate(true_dir: Direction, metric_dir: Direction, input_dist: Distribution) -> float:
     """Projection rate ``<Ltil0, Ltil1>^2 / |Ltil1|^2`` (zero on a negative inner product)."""
+    _shared_noise((true_dir, metric_dir))
     c0 = center(true_dir, input_dist)
     c1 = center(metric_dir, input_dist)
     denom = c1.centered_norm_sq
@@ -194,16 +203,13 @@ class VnCapacityResult:
     tie: bool
     tie_indices: tuple[int, ...]
 
-    def __iter__(self):
-        return iter((self.value, self.worst_index))
 
-
-def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution, tie_tol: float = VN_TIE_TOL) -> VnCapacityResult:
+def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution) -> VnCapacityResult:
     """Minimum centered squared norm over the set, with the worst direction."""
     norms = np.array(
         [center(d, input_dist).centered_norm_sq for d in dset.directions]
     )
-    idx, tied = min_with_ties(norms, tie_tol)
+    idx, tied = min_with_ties(norms, VN_TIE_TOL)
     return VnCapacityResult(
         value=float(norms[idx]),
         worst_index=idx,
@@ -213,7 +219,7 @@ def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution, tie_tol: 
     )
 
 
-def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float = 1e-9) -> OneSidedVerdict:
+def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution) -> OneSidedVerdict:
     """Check ``|Ltil0|^2 - |LtilS|^2 - |Ltil0 - LtilS|^2 >= 0`` for every member.
 
     Equivalent to requiring a nonnegative inner product with the worst
@@ -240,7 +246,7 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution, slack: float =
         alt = 2.0 * (ip - cs.centered_norm_sq)
         if abs(alt - margins[k]) > 1e-8 * max(1.0, abs(margins[k])):
             raise AssertionError("one-sided check forms disagree beyond roundoff")
-        if margins[k] < -slack:
+        if margins[k] < -ONE_SIDED_SLACK:
             return OneSidedVerdict(
                 one_sided=False,
                 witness=k,
@@ -276,7 +282,7 @@ def _case_rate(scores: np.ndarray, lifts, cent_norms) -> float:
     return float(min(rates))
 
 
-def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: Distribution) -> float:
+def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float:
     """Rate of the generalized likelihood-ratio decoder with the given metrics.
 
     The case of metric ``l`` scores ``<L0, Ll> - |Ll|^2 / 2``, larger meaning
@@ -286,6 +292,7 @@ def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: D
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_glrt_rate: need at least one metric direction")
+    noise = _shared_noise([true_dir, *worsts])
     c0 = center(true_dir, input_dist)
     cs = [center(d, input_dist) for d in worsts]
     half_raw = np.array([0.5 * norm_sq(d.values, input_dist, noise) for d in worsts])
@@ -294,7 +301,7 @@ def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: D
     return _case_rate(scores, (half_raw, -bar_ips), [c.centered_norm_sq for c in cs])
 
 
-def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: Distribution) -> float:
+def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float:
     """Rate of the generalized MAP decoder with the given metric directions.
 
     Same structure as the likelihood-ratio case, but both the case scores
@@ -305,6 +312,7 @@ def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution, noise: D
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_gmap_rate: need at least one metric direction")
+    _shared_noise([true_dir, *worsts])
     c0 = center(true_dir, input_dist)
     cs = [center(d, input_dist) for d in worsts]
     half_cent = np.array([0.5 * c.centered_norm_sq for c in cs])
@@ -412,7 +420,7 @@ def mismatched_rate_gap_table(
         d = Metric(np.log(embed(metric_dir, eps).matrix))
         return generalized_rate(input_dist, embed(true_dir, eps), [d])
 
-    return _gap_rows(exact_at, vn_mismatched_rate(true_dir, metric_dir, input_dist, true_dir.noise), eps_list)
+    return _gap_rows(exact_at, vn_mismatched_rate(true_dir, metric_dir, input_dist), eps_list)
 
 
 def vn_limit_gap(kind: str, instance: dict, eps_list) -> list[GapRow]:
@@ -439,9 +447,6 @@ class BlindPolytopeResult:
     ratio: float
     limiting_index: int
 
-    def __iter__(self):
-        return iter((self.value, self.ratio))
-
 
 def blind_polytope_rate(metric_dirs, dset: DirectionSet, input_dist: Distribution) -> BlindPolytopeResult:
     """Worst-case projection rate of fixed metric directions over a set.
@@ -456,7 +461,7 @@ def blind_polytope_rate(metric_dirs, dset: DirectionSet, input_dist: Distributio
     if any(center(u, input_dist).centered_norm_sq <= 0.0 for u in metric_dirs):
         raise ValueError("blind metric directions must have nonzero centered part")
     rates = [
-        max(vn_mismatched_rate(d, u, input_dist, dset.noise) for u in metric_dirs)
+        max(vn_mismatched_rate(d, u, input_dist) for u in metric_dirs)
         for d in dset.directions
     ]
     arg = int(np.argmin(rates))

@@ -87,8 +87,8 @@ class TestCriterion1:
         c0, c1, c2 = (center(d, UNIFORM) for d in (L0, L1, L2))
         dset = DirectionSet((L0, L1, L2), ((0, 1), (2,)))
         cap = vn_compound_capacity(dset, UNIFORM)
-        glrt = vn_glrt_rate(L0, [L1, L2], UNIFORM, NOISE)
-        gmap = vn_gmap_rate(L0, [L1, L2], UNIFORM, NOISE)
+        glrt = vn_glrt_rate(L0, [L1, L2], UNIFORM)
+        gmap = vn_gmap_rate(L0, [L1, L2], UNIFORM)
         ok = (
             abs(c0.centered_norm_sq - 6.25) <= tol
             and abs(c1.centered_norm_sq - 1.0) <= tol

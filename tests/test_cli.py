@@ -62,6 +62,21 @@ class TestAnalyze:
         code, _ = run(capsys, "analyze", "--scenario", "/does/not/exist.json")
         assert code == 2
 
+    def test_directory_scenario_exits_2(self, capsys, tmp_path):
+        code = main(["analyze", "--scenario", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: $: cannot read {tmp_path}: Is a directory\n"
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["capacity", "--scenario", "builtin:bsc-quarter", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write report to {out}: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
     def test_bits_flag_rescales_only_nats(self, capsys):
         code_n, out_n = run(capsys, "analyze", "--scenario", "builtin:bsc-quarter")
         code_b, out_b = run(capsys, "analyze", "--scenario", "builtin:bsc-quarter", "--bits")
@@ -73,6 +88,27 @@ class TestAnalyze:
             results(out_n)["one_sided"]["cover_size"]["value"]
             == results(out_b)["one_sided"]["cover_size"]["value"]
         )
+
+
+class TestFlagSlots:
+    """Each subcommand takes only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("capacity", "--scenario", "builtin:bsc-quarter", "--seed", "5"),
+            ("one-sided", "--scenario", "builtin:bsc-quarter", "--bits"),
+            ("simulate", "--scenario", "builtin:bsc-quarter", "--bits"),
+            ("vn", "blind", "--bits"),
+            ("vn", "sweep", "--tol", "1e-3"),
+        ],
+        ids=["capacity --seed", "one-sided --bits", "simulate --bits", "vn blind --bits", "vn sweep --tol"],
+    )
+    def test_unread_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCapacityAndOneSided:

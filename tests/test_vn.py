@@ -118,23 +118,23 @@ class TestInner:
 
 class TestVnMismatchedRate:
     def test_matched_is_centered_norm(self):
-        assert vn_mismatched_rate(L0, L0, UNIFORM, NOISE) == pytest.approx(6.25, abs=1e-12)
+        assert vn_mismatched_rate(L0, L0, UNIFORM) == pytest.approx(6.25, abs=1e-12)
 
     def test_negative_inner_product_gives_zero(self):
-        assert vn_mismatched_rate(L0, L2, UNIFORM, NOISE) == 0.0
+        assert vn_mismatched_rate(L0, L2, UNIFORM) == 0.0
 
     def test_projection_value(self):
-        assert vn_mismatched_rate(L0, L1, UNIFORM, NOISE) == pytest.approx(6.25, abs=1e-12)
+        assert vn_mismatched_rate(L0, L1, UNIFORM) == pytest.approx(6.25, abs=1e-12)
 
     def test_zero_metric_direction(self):
         z = Direction(np.zeros((2, 2)), NOISE)
-        assert vn_mismatched_rate(L0, z, UNIFORM, NOISE) == 0.0
+        assert vn_mismatched_rate(L0, z, UNIFORM) == 0.0
 
     def test_dominated_by_matched_norm(self, rng):
         for _ in range(200):
             a = random_direction(rng, 2, NOISE)
             b = random_direction(rng, 2, NOISE)
-            rate = vn_mismatched_rate(a, b, UNIFORM, NOISE)
+            rate = vn_mismatched_rate(a, b, UNIFORM)
             assert rate <= center(a, UNIFORM).centered_norm_sq + 1e-9
 
 
@@ -192,28 +192,28 @@ class TestVnOneSided:
 
 class TestGlrtRate:
     def test_matched_single_metric(self):
-        assert vn_glrt_rate(L0, [L0], UNIFORM, NOISE) == pytest.approx(6.25, abs=1e-12)
+        assert vn_glrt_rate(L0, [L0], UNIFORM) == pytest.approx(6.25, abs=1e-12)
 
     def test_two_channel_formula_collapses_when_equal(self):
-        assert vn_glrt_rate(L0, [L0, L0], UNIFORM, NOISE) == pytest.approx(6.25, abs=1e-12)
+        assert vn_glrt_rate(L0, [L0, L0], UNIFORM) == pytest.approx(6.25, abs=1e-12)
 
     def test_counterexample_rate_zero(self):
         # raw distances tie at 32.5; the adversarial case evaluation hits
         # the branch whose threshold clips to zero
-        assert vn_glrt_rate(L0, [L1, L2], UNIFORM, NOISE) == 0.0
+        assert vn_glrt_rate(L0, [L1, L2], UNIFORM) == 0.0
 
     def test_other_members_reach_capacity(self):
-        assert vn_glrt_rate(L1, [L1, L2], UNIFORM, NOISE) == pytest.approx(1.0, abs=1e-12)
-        assert vn_glrt_rate(L2, [L1, L2], UNIFORM, NOISE) == pytest.approx(1.0, abs=1e-12)
+        assert vn_glrt_rate(L1, [L1, L2], UNIFORM) == pytest.approx(1.0, abs=1e-12)
+        assert vn_glrt_rate(L2, [L1, L2], UNIFORM) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGmapRate:
     def test_matched_single_metric(self):
-        assert vn_gmap_rate(L0, [L0], UNIFORM, NOISE) == pytest.approx(6.25, abs=1e-12)
+        assert vn_gmap_rate(L0, [L0], UNIFORM) == pytest.approx(6.25, abs=1e-12)
 
     def test_counterexample_rate(self):
         # case 1 active (2.25 <= 12.25): both branch rates equal 6.25
-        assert vn_gmap_rate(L0, [L1, L2], UNIFORM, NOISE) == pytest.approx(6.25, abs=1e-12)
+        assert vn_gmap_rate(L0, [L1, L2], UNIFORM) == pytest.approx(6.25, abs=1e-12)
 
     def test_equals_glrt_when_output_averages_match(self, rng):
         # directions with identical output averages: metric families differ by
@@ -230,8 +230,8 @@ class TestGmapRate:
                 til = v - (p.probs @ v)[None, :]
                 mk.append(Direction(til + base_avg[None, :], noise))
             true_dir = random_direction(rng, 2, noise)
-            g1 = vn_glrt_rate(true_dir, mk, p, noise)
-            g2 = vn_gmap_rate(true_dir, mk, p, noise)
+            g1 = vn_glrt_rate(true_dir, mk, p)
+            g2 = vn_gmap_rate(true_dir, mk, p)
             assert g1 == pytest.approx(g2, abs=1e-9)
 
     def test_one_sided_block_guarantee(self, rng):
@@ -249,12 +249,28 @@ class TestGmapRate:
             if not vn_is_one_sided(pair, UNIFORM):
                 continue
             checked += 1
-            rate = vn_gmap_rate(l_true, [l_w, l_other], UNIFORM, NOISE)
+            rate = vn_gmap_rate(l_true, [l_w, l_other], UNIFORM)
             cap = min(
                 center(l_w, UNIFORM).centered_norm_sq,
                 center(l_other, UNIFORM).centered_norm_sq,
             )
             assert rate >= cap - 1e-9
+
+
+class TestSharedNoise:
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            lambda true_dir, metric_dir: vn_mismatched_rate(true_dir, metric_dir, UNIFORM),
+            lambda true_dir, metric_dir: vn_glrt_rate(true_dir, [L1, metric_dir], UNIFORM),
+            lambda true_dir, metric_dir: vn_gmap_rate(true_dir, [L1, metric_dir], UNIFORM),
+        ],
+        ids=["mismatched", "glrt", "gmap"],
+    )
+    def test_metric_noise_must_match_true_noise(self, rate):
+        skewed = Direction(np.array([[3.0, -1.0], [-3.0, 1.0]]), Distribution(np.array([0.25, 0.75])))
+        with pytest.raises(ValueError, match="share the noise distribution"):
+            rate(L0, skewed)
 
 
 class TestEmbed:
@@ -313,7 +329,7 @@ class TestBlindPolytope:
         p = Distribution(np.array([0.3, 0.7]))
         dirs = [random_direction(rng, 2, noise) for _ in range(5)]
         metrics = [dirs[1], dirs[3], random_direction(rng, 2, noise)]
-        want = min(max(vn_mismatched_rate(d, u, p, noise) for u in metrics) for d in dirs)
+        want = min(max(vn_mismatched_rate(d, u, p) for u in metrics) for d in dirs)
         assert blind_polytope_rate(metrics, DirectionSet(tuple(dirs)), p).value == want
 
     def test_matched_direction_reaches_capacity(self):
