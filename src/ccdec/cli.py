@@ -39,6 +39,7 @@ from .rates import (
     one_sided_cover,
     worst_channel,
     worst_metrics,
+    worst_per_block,
 )
 from .scenario import Report, ScenarioError, SimulationConfig, load_scenario, render_report, write_report
 from .simulate import DecoderSpec, estimate_error, format_count
@@ -237,10 +238,8 @@ def cmd_one_sided(args) -> int:
 
 
 def _component_worst_directions(dset: DirectionSet, p_x):
-    return [
-        dset.directions[blk[vn_compound_capacity(dset.restrict(blk), p_x).worst_index]]
-        for blk in dset.components
-    ]
+    norms = vn_compound_capacity(dset, p_x).norms
+    return [dset.directions[i] for i in worst_per_block(norms, dset.components)]
 
 
 def cmd_vn_counterexample(args) -> int:

@@ -15,6 +15,7 @@ Builds on the constrained divergence projection:
 * ``worst_channel`` / ``is_one_sided`` / ``one_sided_cover``: the geometric
   condition under which the single worst-channel metric already achieves
   capacity, and a greedy partition of a channel set into such pieces.
+  ``one_sided_verdict``, ``worst_per_block`` and ``partition`` serve ``vn`` too.
 * ``build_metrics``: maximum-likelihood metrics ``log W_k`` and maximum a
   posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` picks the
   channels they come from for each decoder family, one per block.  The
@@ -24,6 +25,7 @@ Builds on the constrained divergence projection:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +74,14 @@ class Metric:
         return Metric(self.values + np.asarray(f, dtype=float)[None, :])
 
 
+def partition(components, count: int, owner: str) -> tuple[tuple[int, ...], ...]:
+    """``components`` as index tuples that partition ``range(count)``; none given means one block."""
+    comps = tuple(tuple(int(i) for i in blk) for blk in components) or (tuple(range(count)),)
+    if sorted(i for blk in comps for i in blk) != list(range(count)):
+        raise ValueError(f"{owner}: components must partition the indices 0..{count - 1}")
+    return comps
+
+
 def _metric_values(d) -> np.ndarray:
     return d.values if isinstance(d, Metric) else np.asarray(d, dtype=float)
 
@@ -95,14 +105,8 @@ class CompoundSet:
         for k, w in enumerate(chans):
             if w.matrix.shape != shape:
                 raise ValueError(f"CompoundSet: channel {k} has shape {w.matrix.shape}, expected {shape}")
-        comps = tuple(tuple(int(i) for i in blk) for blk in self.components)
-        if not comps:
-            comps = (tuple(range(len(chans))),)
-        seen = [i for blk in comps for i in blk]
-        if sorted(seen) != list(range(len(chans))):
-            raise ValueError("CompoundSet: components must partition the channel indices")
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", partition(self.components, len(chans), "CompoundSet"))
 
     @property
     def size(self) -> int:
@@ -263,9 +267,18 @@ def min_with_ties(values: np.ndarray, tie_tol: float) -> tuple[int, tuple[int, .
     return idx, tuple(int(i) for i in np.flatnonzero(values <= values[idx] + tie_tol))
 
 
+def worst_per_block(values: np.ndarray, blocks) -> tuple[int, ...]:
+    """The global index of the first minimizer of ``values`` within each block."""
+    return tuple(blk[int(np.argmin(values[list(blk)]))] for blk in blocks)
+
+
+def _informations(cset: CompoundSet, input_dist: Distribution) -> np.ndarray:
+    return np.array([mutual_information(input_dist, w) for w in cset.channels])
+
+
 def worst_channel(cset: CompoundSet, input_dist: Distribution) -> WorstChannelResult:
     """Channel minimizing I(P, W) over the set; flags near-ties."""
-    infos = np.array([mutual_information(input_dist, w) for w in cset.channels])
+    infos = _informations(cset, input_dist)
     idx, tied = min_with_ties(infos, WORST_TIE_TOL)
     return WorstChannelResult(
         index=idx,
@@ -295,6 +308,41 @@ class OneSidedVerdict:
         return self.one_sided
 
 
+def one_sided_verdict(values: np.ndarray, margin, member: str) -> OneSidedVerdict:
+    """One-sided verdict for members with capacity terms ``values`` and slacks ``margin(k, worst)``.
+
+    A worst member tied within ``WORST_TIE_TOL`` declines to classify and
+    returns the tie as the witness; else the first margin below
+    ``-ONE_SIDED_SLACK`` is the witness.
+    """
+    worst, tied = min_with_ties(values, WORST_TIE_TOL)
+    if len(tied) > 1:
+        reason = f"worst {member} not unique: indices {tied} within {WORST_TIE_TOL}"
+        return OneSidedVerdict(False, tied[1], reason, None)
+    margins = np.full(len(values), math.nan)
+    for k in range(len(values)):
+        margins[k] = margin(k, worst)
+        if margins[k] < -ONE_SIDED_SLACK:
+            reason = f"{member} {k} violates the divergence split by {margins[k]:.3e}"
+            return OneSidedVerdict(False, k, reason, worst, margins)
+    return OneSidedVerdict(True, None, "all members satisfy the divergence split", worst, margins)
+
+
+def _split_margin(cset: CompoundSet, input_dist: Distribution):
+    """Informations ``I_k`` and ``margin(k, s) = D(mu_k || mu_s^p) - D(mu_k || mu_s) - I_s``."""
+    infos = _informations(cset, input_dist)
+    joints = [joint_of(input_dist, w) for w in cset.channels]
+    product = functools.cache(lambda s: joints[s].product)
+
+    def margin(k: int, s: int) -> float:
+        lhs = kl_divergence(joints[k], product(s))
+        rhs = kl_divergence(joints[k], joints[s]) + infos[s]
+        # Both sides infinite counts as equality; one infinite side gives +-inf.
+        return 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
+
+    return infos, margin
+
+
 def is_one_sided(cset: CompoundSet, input_dist: Distribution) -> OneSidedVerdict:
     """Check whether every member satisfies the worst-channel divergence split.
 
@@ -302,67 +350,28 @@ def is_one_sided(cset: CompoundSet, input_dist: Distribution) -> OneSidedVerdict
 
         D(mu0 || mu_S^p) >= D(mu0 || mu_S) + D(mu_S || mu_S^p)
 
-    holds for every member ``W0``.  A tied worst channel leaves the
-    condition undefined; we decline to classify and return the tie as the
-    witness.
+    holds for every member ``W0``; see ``one_sided_verdict``.
     """
-    worst = worst_channel(cset, input_dist)
-    if worst.tie:
-        return OneSidedVerdict(
-            one_sided=False,
-            witness=worst.tie_indices[1],
-            reason=f"worst channel not unique: indices {worst.tie_indices} within {WORST_TIE_TOL}",
-            worst_index=None,
-        )
-    mu_s = joint_of(input_dist, worst.channel)
-    mu_s_p = mu_s.product
-    cap_term = kl_divergence(mu_s, mu_s_p)
-    margins = np.full(cset.size, math.nan)
-    for k, w in enumerate(cset.channels):
-        mu0 = joint_of(input_dist, w)
-        lhs = kl_divergence(mu0, mu_s_p)
-        rhs = kl_divergence(mu0, mu_s) + cap_term
-        # Both sides infinite counts as equality; one infinite side gives +-inf.
-        margins[k] = 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
-        if margins[k] < -ONE_SIDED_SLACK:
-            return OneSidedVerdict(
-                one_sided=False,
-                witness=k,
-                reason=f"channel {k} violates the divergence split by {margins[k]:.3e}",
-                worst_index=worst.index,
-                margins=margins,
-            )
-    return OneSidedVerdict(
-        one_sided=True,
-        witness=None,
-        reason="all members satisfy the divergence split",
-        worst_index=worst.index,
-        margins=margins,
-    )
+    return one_sided_verdict(*_split_margin(cset, input_dist), "channel")
 
 
 def one_sided_cover(cset: CompoundSet, input_dist: Distribution) -> tuple[tuple[int, ...], ...]:
     """Greedy partition of the channel indices into one-sided blocks.
 
-    Seeds each block with the lowest-information uncovered channel and grows
-    it while the one-sided check still passes.  Valid but not necessarily
-    minimal.
+    Seeds each block with the lowest-information uncovered channel ``s``; a
+    later ``k`` joins when ``I_k > I_s + WORST_TIE_TOL`` and its split margin
+    against ``s`` is at least ``-ONE_SIDED_SLACK``, i.e. when the grown block
+    passes ``is_one_sided``.  Valid but not necessarily minimal.
     """
-    infos = np.array([mutual_information(input_dist, w) for w in cset.channels])
-    order = list(np.argsort(infos, kind="stable"))
-    remaining = [int(i) for i in order]
+    infos, margin = _split_margin(cset, input_dist)
+    remaining = [int(i) for i in np.argsort(infos, kind="stable")]
     blocks: list[tuple[int, ...]] = []
     while remaining:
-        seed = remaining.pop(0)
-        block = [seed]
-        kept = []
-        for cand in remaining:
-            trial = block + [cand]
-            if is_one_sided(cset.restrict(trial), input_dist):
-                block.append(cand)
-            else:
-                kept.append(cand)
-        remaining = kept
+        seed, *rest = remaining
+        block, remaining = [seed], []
+        for k in rest:
+            joins = infos[k] > infos[seed] + WORST_TIE_TOL and margin(k, seed) >= -ONE_SIDED_SLACK
+            (block if joins else remaining).append(k)
         blocks.append(tuple(sorted(block)))
     return tuple(blocks)
 
@@ -421,8 +430,7 @@ def worst_metrics(
         blocks = (tuple(range(cset.size)),)
     elif blocks is None:
         blocks = cset.components
-    # Block-local worst indices mapped back to global ones.
-    idx = tuple(blk[worst_channel(cset.restrict(blk), input_dist).index] for blk in blocks)
+    idx = worst_per_block(_informations(cset, input_dist), blocks)
     return idx, build_metrics(_METRIC_KIND[kind], [cset.channels[i] for i in idx], input_dist)
 
 

@@ -24,7 +24,8 @@ Scenarios are human-editable JSON (``schema_version: 1``):
 Channel rows whose sums are within 1e-9 of one are renormalized; anything
 worse is rejected with the offending field path.  The optional ``vn`` block
 carries a pure-noise distribution and perturbation directions (row averages
-repaired the same way).  Reports serialize deterministically: sorted keys,
+repaired the same way).  Unknown keys in the ``vn`` and ``simulation``
+blocks are rejected.  Reports serialize deterministically: sorted keys,
 floats at 12 significant digits, every numeric entry tagged with its unit.
 """
 
@@ -96,6 +97,12 @@ def _nonempty_list(raw, path: str, what: str) -> list:
     return raw
 
 
+def _reject_unknown(raw: dict, fields, path: str) -> None:
+    for key in raw:
+        if key not in fields:
+            raise ScenarioError(f"{path}.{key}", "unknown field")
+
+
 def _need(raw: dict, key: str, path: str):
     if key not in raw:
         raise ScenarioError(f"{path}.{key}", "missing required field")
@@ -154,6 +161,7 @@ def _parse_components(raw, count: int, path: str) -> tuple[tuple[int, ...], ...]
 
 def _parse_vn(raw, path: str) -> VnBlock:
     raw = _object(raw, path)
+    _reject_unknown(raw, ("noise", "directions", "components", "epsilons"), path)
     noise = _parse_distribution(_need(raw, "noise", path), f"{path}.noise")
     raw_dirs = _nonempty_list(_need(raw, "directions", path), f"{path}.directions", "direction")
     dirs = []
@@ -221,12 +229,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         s = _object(raw["simulation"], "simulation")
         # Each given value is converted to the type of its field's default; the
         # scenario spells block_length as "n".
+        fields = {"n" if f.name == "block_length" else f.name: f for f in dataclasses.fields(SimulationConfig)}
+        _reject_unknown(s, fields, "simulation")
         try:
-            sim = SimulationConfig(**{
-                f.name: type(f.default)(s[key])
-                for f in dataclasses.fields(SimulationConfig)
-                if (key := "n" if f.name == "block_length" else f.name) in s
-            })
+            sim = SimulationConfig(**{fields[k].name: type(fields[k].default)(v) for k, v in s.items()})
         except (TypeError, ValueError) as exc:
             raise ScenarioError("simulation", str(exc)) from None
         if sim.decoder not in ("ml", "map", "glrt", "gmap", "mmi"):

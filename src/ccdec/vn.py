@@ -40,9 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import Channel, Distribution, Joint, _values, joint_of, kl_divergence
-from .rates import ONE_SIDED_SLACK, Metric, OneSidedVerdict, generalized_rate, min_with_ties
+from .rates import (
+    WORST_TIE_TOL,
+    Metric,
+    OneSidedVerdict,
+    generalized_rate,
+    min_with_ties,
+    one_sided_verdict,
+    partition,
+)
 
-VN_TIE_TOL = 1e-9
 _CASE_TIE_TOL = 1e-12
 
 # Smallest admitted entry of 1 + e L when embedding a direction.
@@ -161,13 +168,8 @@ class DirectionSet:
             if d.values.shape != shape:
                 raise ValueError(f"DirectionSet: direction {k} has mismatched shape")
         _shared_noise(dirs)
-        comps = tuple(tuple(int(i) for i in blk) for blk in self.components)
-        if not comps:
-            comps = (tuple(range(len(dirs))),)
-        if sorted(i for blk in comps for i in blk) != list(range(len(dirs))):
-            raise ValueError("DirectionSet: components must partition the direction indices")
         object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", partition(self.components, len(dirs), "DirectionSet"))
 
     @property
     def noise(self) -> Distribution:
@@ -209,7 +211,7 @@ def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution) -> VnCapa
     norms = np.array(
         [center(d, input_dist).centered_norm_sq for d in dset.directions]
     )
-    idx, tied = min_with_ties(norms, VN_TIE_TOL)
+    idx, tied = min_with_ties(norms, WORST_TIE_TOL)
     return VnCapacityResult(
         value=float(norms[idx]),
         worst_index=idx,
@@ -222,45 +224,25 @@ def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution) -> VnCapa
 def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution) -> OneSidedVerdict:
     """Check ``|Ltil0|^2 - |LtilS|^2 - |Ltil0 - LtilS|^2 >= 0`` for every member.
 
+    The local limit of the divergence split, judged by ``one_sided_verdict``.
     Equivalent to requiring a nonnegative inner product with the worst
     direction whose projection dominates the worst norm; both forms are
     evaluated and must agree.
     """
-    cap = vn_compound_capacity(dset, input_dist)
-    if cap.tie:
-        return OneSidedVerdict(
-            one_sided=False,
-            witness=cap.tie_indices[1],
-            reason=f"worst direction not unique: indices {cap.tie_indices}",
-            worst_index=None,
-        )
-    cs = center(dset.directions[cap.worst_index], input_dist)
-    margins = np.full(dset.size, math.nan)
-    for k, d in enumerate(dset.directions):
-        c0 = center(d, input_dist)
+    cents = [center(d, input_dist) for d in dset.directions]
+
+    def margin(k: int, s: int) -> float:
+        c0, cs = cents[k], cents[s]
         diff = norm_sq(c0.centered - cs.centered, input_dist, dset.noise)
-        margins[k] = c0.centered_norm_sq - cs.centered_norm_sq - diff
+        m = c0.centered_norm_sq - cs.centered_norm_sq - diff
         # Cross-check via the projection form: <L0,LS> >= 0 and
         # <L0,LS>^2 / |LS|^2 >= |LS|^2.  Identical up to roundoff.
-        ip = c0.inner(cs)
-        alt = 2.0 * (ip - cs.centered_norm_sq)
-        if abs(alt - margins[k]) > 1e-8 * max(1.0, abs(margins[k])):
+        alt = 2.0 * (c0.inner(cs) - cs.centered_norm_sq)
+        if abs(alt - m) > 1e-8 * max(1.0, abs(m)):
             raise AssertionError("one-sided check forms disagree beyond roundoff")
-        if margins[k] < -ONE_SIDED_SLACK:
-            return OneSidedVerdict(
-                one_sided=False,
-                witness=k,
-                reason=f"direction {k} lies on the wrong side (margin {margins[k]:.3e})",
-                worst_index=cap.worst_index,
-                margins=margins,
-            )
-    return OneSidedVerdict(
-        one_sided=True,
-        witness=None,
-        reason="all members project beyond the worst direction",
-        worst_index=cap.worst_index,
-        margins=margins,
-    )
+        return m
+
+    return one_sided_verdict(np.array([c.centered_norm_sq for c in cents]), margin, "direction")
 
 
 def _case_rate(scores: np.ndarray, lifts, cent_norms) -> float:

@@ -293,6 +293,27 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, block, key",
+        [
+            (["simulate"], {"simulation": {"trails": 5, "n": 8}}, "simulation.trails"),
+            (["simulate"], {"simulation": {"block_length": 8}}, "simulation.block_length"),
+            (
+                ["vn", "counterexample"],
+                {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], "epsilon": [0.1]}},
+                "vn.epsilon",
+            ),
+        ],
+    )
+    def test_unknown_scenario_field_exits_2(self, capsys, tmp_path, command, block, key):
+        scenario = tmp_path / "typo.json"
+        scenario.write_text(json.dumps({"channels": [[[0.9, 0.1], [0.1, 0.9]]], **block}))
+        code = main([*command, "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {key}: unknown field\n"
+
     def test_codeword_count_past_float_range(self, capsys):
         argv = ["simulate", "--scenario", "builtin:bsc-quarter", "--n", "2100", "--rate", "0.5", "--trials", "2"]
         code, out = run(capsys, *argv, "--method", "ensemble")

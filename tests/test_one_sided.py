@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ccdec import (
     Channel,
@@ -15,6 +18,7 @@ from ccdec import (
     one_sided_cover,
     worst_channel,
 )
+from ccdec.rates import ONE_SIDED_SLACK, WORST_TIE_TOL, OneSidedVerdict
 from ccdec.vn import Direction, embed
 from conftest import random_channel, random_distribution
 
@@ -164,3 +168,134 @@ class TestCover:
         for blk in cover:
             if len(blk) > 1:
                 assert is_one_sided(cset.restrict(blk), UNIFORM)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-sided check and the re-check greedy cover written out in
+# full, one restricted re-check per candidate.
+# ---------------------------------------------------------------------------
+
+
+def reference_is_one_sided(cset, p):
+    infos = np.array([mutual_information(p, w) for w in cset.channels])
+    s = int(np.argmin(infos))
+    tied = tuple(int(i) for i in np.flatnonzero(infos <= infos[s] + WORST_TIE_TOL))
+    if len(tied) > 1:
+        reason = f"worst channel not unique: indices {tied} within {WORST_TIE_TOL}"
+        return OneSidedVerdict(False, tied[1], reason, None)
+    mu_s = joint_of(p, cset.channels[s])
+    mu_s_p = mu_s.product
+    cap_term = kl_divergence(mu_s, mu_s_p)
+    margins = np.full(cset.size, math.nan)
+    for k, w in enumerate(cset.channels):
+        mu0 = joint_of(p, w)
+        lhs = kl_divergence(mu0, mu_s_p)
+        rhs = kl_divergence(mu0, mu_s) + cap_term
+        margins[k] = 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
+        if margins[k] < -ONE_SIDED_SLACK:
+            reason = f"channel {k} violates the divergence split by {margins[k]:.3e}"
+            return OneSidedVerdict(False, k, reason, s, margins)
+    return OneSidedVerdict(True, None, "all members satisfy the divergence split", s, margins)
+
+
+def reference_cover(cset, p):
+    infos = np.array([mutual_information(p, w) for w in cset.channels])
+    remaining = [int(i) for i in np.argsort(infos, kind="stable")]
+    blocks = []
+    while remaining:
+        seed = remaining.pop(0)
+        block, kept = [seed], []
+        for cand in remaining:
+            if reference_is_one_sided(cset.restrict(block + [cand]), p):
+                block.append(cand)
+            else:
+                kept.append(cand)
+        remaining = kept
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def dirichlet_set(rng):
+    nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    chans = tuple(Channel(rng.dirichlet(np.ones(ny), size=nx)) for _ in range(int(rng.integers(2, 8))))
+    return CompoundSet(chans), Distribution(rng.dirichlet(np.ones(nx) * 2.0))
+
+
+def zero_entry_set(rng):
+    # zero entries make split divergences infinite on one side or both
+    nx, ny = int(rng.integers(2, 4)), int(rng.integers(3, 5))
+    chans = []
+    for _ in range(int(rng.integers(2, 6))):
+        m = rng.dirichlet(np.ones(ny), size=nx) * (rng.uniform(size=(nx, ny)) > 0.3)
+        m[:, 0] += m.sum(axis=1) == 0.0
+        chans.append(Channel(m / m.sum(axis=1, keepdims=True)))
+    return CompoundSet(tuple(chans)), Distribution(rng.dirichlet(np.ones(nx) * 2.0))
+
+
+def segment_union_set(rng):
+    nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    chans = [w for _ in range(int(rng.integers(2, 4)))
+             for w in segment_toward_noise(rng, nx, ny, int(rng.integers(2, 4))).channels]
+    rng.shuffle(chans)
+    return CompoundSet(tuple(chans)), Distribution(rng.dirichlet(np.ones(nx) * 2.0))
+
+
+def mirrored_tie_set(rng):
+    # a BSC and its mirror have equal information at the uniform input; a
+    # repeated member ties exactly at any input
+    qs = rng.uniform(0.05, 0.45, size=int(rng.integers(1, 4)))
+    chans = [Channel.bsc(q) for q in qs] + [Channel.bsc(1.0 - qs[0])]
+    if rng.uniform() < 0.5:
+        chans.append(chans[int(rng.integers(len(chans)))])
+    rng.shuffle(chans)
+    return CompoundSet(tuple(chans)), UNIFORM
+
+
+def near_tie_set(rng):
+    # members whose information sits within a few WORST_TIE_TOL of a base
+    # channel's, on both sides of the tie tolerance
+    nx, ny = 2, int(rng.integers(2, 4))
+    p = Distribution(rng.dirichlet(np.ones(nx) * 2.0))
+    base = random_channel(rng, nx, ny)
+    noise = Channel.pure_noise(Distribution(rng.dirichlet(np.ones(ny) * 5.0)), nx)
+    target = mutual_information(p, base)
+    chans = [base]
+    for delta in rng.choice([2e-10, 5e-10, 9.9e-10, 1.01e-9, 2e-9], size=int(rng.integers(1, 4))):
+        t = brentq(lambda t: target - mutual_information(p, base.mix(noise, t)) - delta, 0.0, 0.5, xtol=1e-15)
+        chans.append(base.mix(noise, t))
+    chans += [random_channel(rng, nx, ny) for _ in range(int(rng.integers(0, 3)))]
+    rng.shuffle(chans)
+    return CompoundSet(tuple(chans)), p
+
+
+def same_verdict(a, b) -> bool:
+    fields = ("one_sided", "witness", "reason", "worst_index")
+    if any(getattr(a, f) != getattr(b, f) for f in fields):
+        return False
+    if a.margins is None or b.margins is None:
+        return a.margins is None and b.margins is None
+    return a.margins.tobytes() == b.margins.tobytes()
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "seed, make",
+        enumerate([dirichlet_set, zero_entry_set, segment_union_set, mirrored_tie_set, near_tie_set]),
+    )
+    def test_verdicts_and_covers_match(self, seed, make):
+        rng = np.random.default_rng([20240817, seed])
+        ties = failures = 0
+        for _ in range(80):
+            cset, p = make(rng)
+            ref = reference_is_one_sided(cset, p)
+            assert same_verdict(is_one_sided(cset, p), ref)
+            ties += ref.worst_index is None
+            failures += ref.witness is not None
+            cover = one_sided_cover(cset, p)
+            assert cover == reference_cover(cset, p)
+            for blk in cover:
+                assert same_verdict(is_one_sided(cset.restrict(blk), p), reference_is_one_sided(cset.restrict(blk), p))
+        if make in (mirrored_tie_set, near_tie_set):
+            assert ties > 0
+        if make is not segment_union_set:
+            assert failures > 0

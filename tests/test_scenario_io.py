@@ -136,6 +136,20 @@ class TestSimulationBlock:
         assert (sim.rate_bits, sim.trials, sim.seed) == (1.0, 40, 2)
         assert (type(sim.rate_bits), type(sim.trials), type(sim.seed)) == (float, int, int)
 
+    @pytest.mark.parametrize(
+        "block, raw_block, key",
+        [
+            ("simulation", {"trails": 5, "n": 8}, "trails"),
+            ("simulation", {"block_length": 8}, "block_length"),
+            ("vn", {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], "epsilon": [0.1]}, "epsilon"),
+        ],
+    )
+    def test_unknown_field_rejected(self, block, raw_block, key):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(dict(MINIMAL, **{block: raw_block}))
+        assert exc.value.field_path == f"{block}.{key}"
+        assert str(exc.value) == f"{block}.{key}: unknown field"
+
     def test_conversion_error_names_the_block(self):
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(dict(MINIMAL, simulation={"trials": "many"}))

@@ -7,6 +7,7 @@ from hypothesis import strategies as hyp_st
 
 from ccdec import (
     Channel,
+    CompoundSet,
     Direction,
     DirectionSet,
     Distribution,
@@ -14,6 +15,7 @@ from ccdec import (
     center,
     embed,
     inner,
+    is_one_sided,
     norm_sq,
     vn_compound_capacity,
     vn_glrt_rate,
@@ -188,6 +190,35 @@ class TestVnOneSided:
         verdict = vn_is_one_sided(DirectionSet((L1, L2)), UNIFORM)
         assert not verdict.one_sided
         assert "not unique" in verdict.reason
+
+
+class TestOneSidedLifting:
+    """The local margin is the limit of the global divergence-split margin."""
+
+    def test_scaled_global_margins_approach_local_ones(self):
+        rng = np.random.default_rng(31)
+        clear = 0
+        for _ in range(8):
+            noise = Distribution(rng.dirichlet(np.ones(3) * 4.0))
+            p = Distribution(rng.dirichlet(np.ones(2) * 4.0))
+            dset = DirectionSet(tuple(random_direction(rng, 2, noise) for _ in range(3)))
+            local = vn_is_one_sided(dset, p)
+            # the worst member's own margin is 0 in both geometries
+            others = [k for k in np.flatnonzero(np.isfinite(local.margins)) if k != local.worst_index]
+            is_clear = all(abs(local.margins[k]) > 0.05 for k in others)
+            clear += is_clear
+            errors = []
+            for eps in (1e-2, 1e-3):
+                glob = is_one_sided(CompoundSet(tuple(embed(d, eps) for d in dset.directions)), p)
+                assert glob.worst_index == local.worst_index is not None
+                both = np.isfinite(glob.margins) & np.isfinite(local.margins)
+                assert both.any()
+                errors.append(np.abs(2.0 / eps**2 * glob.margins[both] - local.margins[both]).max())
+                if is_clear:
+                    assert (glob.one_sided, glob.witness) == (local.one_sided, local.witness)
+            assert errors[0] < 1e-2
+            assert errors[1] <= errors[0] / 5.0
+        assert clear > 0
 
 
 class TestGlrtRate:
