@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Decoder error probability vs blocklength for a compound scenario.
 
-Runs the Monte Carlo estimator for several decoders over a range of
-blocklengths at a fixed rate and emits a plot-ready CSV.
+Runs ``ccdec simulate`` for several decoders over a range of blocklengths at
+a fixed rate and emits a plot-ready CSV.  Each (decoder, n) point is one
+``ccdec simulate`` run, so the input is the scenario's declared one, else
+the capacity-achieving one.  The script exits with the first nonzero exit
+code of a point (whose rows are left out), else 0.
 
 Usage:
     python scripts/error_vs_blocklength.py --scenario builtin:bsc-quarter \
@@ -10,11 +13,14 @@ Usage:
 """
 
 import argparse
+import contextlib
 import csv
+import io
+import json
 import sys
 
-from ccdec import compound_capacity, estimate_error, load_scenario
-from ccdec.cli import _decoder_spec
+from ccdec import cli
+from ccdec.simulate import METHODS
 
 
 def main(argv=None):
@@ -25,29 +31,33 @@ def main(argv=None):
     ap.add_argument("--decoders", default="gmap,glrt,mmi")
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--method", choices=("codebook", "ensemble"), default="ensemble")
+    ap.add_argument("--method", choices=METHODS, default="ensemble")
     ap.add_argument("--out", default="error_vs_blocklength.csv")
     args = ap.parse_args(argv)
 
-    sc = load_scenario(args.scenario)
-    cset = sc.channels
-    cap = compound_capacity(cset)
-    p_x = sc.input_dist if sc.input_dist is not None else cap.input_dist
-    print(f"capacity: {cap.value:.6f} nats ({cap.value / 0.6931471805599453:.6f} bits)")
-
     rows = []
-    for name in args.decoders.split(","):
-        spec = _decoder_spec(name.strip(), cset, p_x)
+    status = cli.EXIT_OK
+    for name in (d.strip() for d in args.decoders.split(",")):
         for n in (int(x) for x in args.lengths.split(",")):
-            stats = estimate_error(
-                cset, spec, p_x, n, args.rate, args.trials, args.seed, method=args.method
-            )
-            for st in stats:
-                err = st.mean_error_prob if st.mean_error_prob is not None else st.error_rate
-                rows.append([name, n, st.channel_index, err, st.wilson_low, st.wilson_high])
+            report = io.StringIO()
+            with contextlib.redirect_stdout(report):
+                code = cli.main([
+                    "simulate", "--scenario", args.scenario, "--decoder", name, "--n", str(n),
+                    "--rate", str(args.rate), "--trials", str(args.trials), "--seed", str(args.seed),
+                    "--method", args.method,
+                ])
+            if code != cli.EXIT_OK:
+                print(f"{name} n={n}: ccdec simulate exited {code}", file=sys.stderr)
+                status = status or code
+                continue
+            results = json.loads(report.getvalue())["results"]
+            for k in range(sum(sec.startswith("channel[") for sec in results)):
+                st = {key: cell["value"] for key, cell in results[f"channel[{k}]"].items()}
+                err = st.get("mean_error_prob", st["error_rate"])
+                rows.append([name, n, k, err, st["wilson_low"], st["wilson_high"]])
                 print(
-                    f"{name:5s} n={n:<4d} channel={st.channel_index} "
-                    f"error={err:.4e} [{st.wilson_low:.4f}, {st.wilson_high:.4f}]"
+                    f"{name:5s} n={n:<4d} channel={k} "
+                    f"error={err:.4e} [{st['wilson_low']:.4f}, {st['wilson_high']:.4f}]"
                 )
 
     with open(args.out, "w", newline="") as fh:
@@ -55,7 +65,7 @@ def main(argv=None):
         writer.writerow(["decoder", "n", "channel", "error", "wilson_low", "wilson_high"])
         writer.writerows(rows)
     print(f"wrote {args.out}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ import numpy as np
 from .probability import NATS_PER_BIT, Distribution
 from .projection import SolverError
 from .rates import (
+    FAMILIES,
     CompoundSet,
     compound_capacity,
     decoder_rates,
@@ -42,7 +43,7 @@ from .rates import (
     worst_per_block,
 )
 from .scenario import Report, ScenarioError, SimulationConfig, load_scenario, render_report, write_report
-from .simulate import DecoderSpec, estimate_error, format_count
+from .simulate import DECODERS, METHODS, DecoderSpec, estimate_error, format_count
 from .vn import (
     DirectionSet,
     blind_polytope_rate,
@@ -94,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--n", type=int, default=None, help="block length")
     sim.add_argument("--rate", type=float, default=None, help="rate in bits per symbol")
-    sim.add_argument("--decoder", choices=("ml", "map", "glrt", "gmap", "mmi"), default=None)
-    sim.add_argument("--method", choices=("codebook", "ensemble"), default=None)
+    sim.add_argument("--decoder", choices=DECODERS, default=None)
+    sim.add_argument("--method", choices=METHODS, default=None)
     return parser
 
 
@@ -195,7 +196,7 @@ def cmd_analyze(args) -> int:
         sub_verdict = is_one_sided(cset.restrict(blk), p_x)
         report.add("one_sided", f"component[{b}]", sub_verdict.one_sided)
 
-    for kind in ("ml", "map", "glrt", "gmap"):
+    for kind in FAMILIES:
         rep = decoder_rates(cset, p_x, kind, cover=blocks)
         for k, r in enumerate(rep.rates):
             report.add(f"rates_{kind}", f"channel[{k}]", float(r), "nats")
@@ -332,16 +333,7 @@ def cmd_simulate(args) -> int:
     p_x, code = _input(scenario, args.tol)
     spec = _decoder_spec(sim.decoder, cset, p_x)
     stats = estimate_error(
-        cset,
-        spec,
-        p_x,
-        sim.block_length,
-        sim.rate_bits,
-        sim.trials,
-        sim.seed,
-        method=sim.method,
-        fresh_codebook=sim.fresh_codebook,
-        max_codewords=sim.max_codewords,
+        cset, spec, p_x, sim.block_length, sim.rate_bits, sim.trials, sim.seed, method=sim.method
     )
     report = Report(
         meta={

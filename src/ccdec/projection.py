@@ -65,6 +65,10 @@ from .probability import SUPPORT_FLOOR, Distribution, Joint, _values
 
 LAMBDA_CAP = 1e4
 INFEASIBLE_SLACK = 1e-6
+# Largest marginal mismatch a fit may return, and the expectation tolerance
+# of the bisection (capped at 1e-10).  Read at each call.
+MARGINAL_TOL = 1e-10
+CONSTRAINT_TOL = 1e-8
 # Fit budget at lam = 0 (it grows by 12 per unit of lam) and bisection cap.
 MAX_FIT_ITERS = 5000
 MAX_BISECTIONS = 120
@@ -158,9 +162,6 @@ def kl_projection(
     col: Distribution,
     score,
     threshold: float,
-    *,
-    marginal_tol: float = 1e-10,
-    constraint_tol: float = 1e-8,
 ) -> ProjectionResult:
     """Project ``base`` onto {mu : mu_X = row, mu_Y = col, E_mu[score] >= threshold}.
 
@@ -227,7 +228,7 @@ def kl_projection(
         nonlocal total_fit_iters
         budget = MAX_FIT_ITERS + int(12.0 * lam)
         mu, uu, vv, its, resid = _log_fit(
-            log_b + lam * d, log_r, log_c, r, c, u0, v0, marginal_tol, budget
+            log_b + lam * d, log_r, log_c, r, c, u0, v0, MARGINAL_TOL, budget
         )
         total_fit_iters += its
         return mu, float(np.sum(mu * d)), uu, vv, resid
@@ -274,7 +275,7 @@ def kl_projection(
     steps = 0
     lam = hi
     if not capped:
-        target_tol = min(constraint_tol, 1e-10)
+        target_tol = min(CONSTRAINT_TOL, 1e-10)
         for steps in range(1, MAX_BISECTIONS + 1):
             if abs(expect - threshold) <= target_tol or hi - lo <= 1e-15 * max(1.0, hi):
                 break

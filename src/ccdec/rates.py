@@ -49,6 +49,8 @@ ONE_SIDED_SLACK = 1e-9
 CAPACITY_MAX_ITERATIONS = 100_000
 # Metric kind of each decoder family: "ml" for log W, "map" for log(W / q).
 _METRIC_KIND = {"ml": "ml", "map": "map", "glrt": "ml", "gmap": "map"}
+# The decoder families, in report order.
+FAMILIES = tuple(_METRIC_KIND)
 # HiGHS feasibility tolerances of the capacity master LP; at the defaults
 # (1e-7) the certified gap stalls between 1e-8 and 1e-7.
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -76,9 +78,13 @@ class Metric:
 
 def partition(components, count: int, owner: str) -> tuple[tuple[int, ...], ...]:
     """``components`` as index tuples that partition ``range(count)``; none given means one block."""
-    comps = tuple(tuple(int(i) for i in blk) for blk in components) or (tuple(range(count)),)
+    message = f"{owner}: components must partition the indices 0..{count - 1}"
+    try:
+        comps = tuple(tuple(int(i) for i in blk) for blk in components) or (tuple(range(count)),)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
     if sorted(i for blk in comps for i in blk) != list(range(count)):
-        raise ValueError(f"{owner}: components must partition the indices 0..{count - 1}")
+        raise ValueError(message)
     return comps
 
 
@@ -116,13 +122,13 @@ class CompoundSet:
         return CompoundSet(tuple(self.channels[i] for i in indices))
 
 
-def mismatched_rate(input_dist: Distribution, channel: Channel, metric, **solver_kwargs) -> float:
+def mismatched_rate(input_dist: Distribution, channel: Channel, metric) -> float:
     """Random-coding rate of the linear decoder induced by ``metric``: the one-metric ``generalized_rate``."""
-    return generalized_rate(input_dist, channel, [metric], **solver_kwargs)
+    return generalized_rate(input_dist, channel, [metric])
 
 
 def generalized_rate_detail(
-    input_dist: Distribution, channel: Channel, metrics, **solver_kwargs
+    input_dist: Distribution, channel: Channel, metrics
 ) -> tuple[float, ProjectionResult | None]:
     """``generalized_rate`` plus the winning projection (None when every branch is infeasible)."""
     ds = [_metric_values(d) for d in metrics]
@@ -132,7 +138,7 @@ def generalized_rate_detail(
     base = mu0.product
     row, col = mu0.x_marginal, mu0.y_marginal
     threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
-    results = [kl_projection(base, row, col, d, threshold, **solver_kwargs) for d in ds]
+    results = [kl_projection(base, row, col, d, threshold) for d in ds]
     values = [res.value for res in results]
     if not any(math.isfinite(v) for v in values):
         return math.inf, None
@@ -140,7 +146,7 @@ def generalized_rate_detail(
     return values[best], results[best]
 
 
-def generalized_rate(input_dist: Distribution, channel: Channel, metrics, **solver_kwargs) -> float:
+def generalized_rate(input_dist: Distribution, channel: Channel, metrics) -> float:
     """Rate of the generalized linear decoder maximizing several metrics.
 
     The threshold is the best score the true joint earns across metrics;
@@ -148,7 +154,7 @@ def generalized_rate(input_dist: Distribution, channel: Channel, metrics, **solv
     branches (+inf) drop out of the minimum unless every branch is
     infeasible.
     """
-    return generalized_rate_detail(input_dist, channel, metrics, **solver_kwargs)[0]
+    return generalized_rate_detail(input_dist, channel, metrics)[0]
 
 
 def _per_letter_divergences(channel_matrix: np.ndarray, output_dist: np.ndarray) -> np.ndarray:

@@ -21,12 +21,15 @@ Scenarios are human-editable JSON (``schema_version: 1``):
                      "seed": 1, "decoder": "gmap", "method": "codebook"}
     }
 
-Channel rows whose sums are within 1e-9 of one are renormalized; anything
-worse is rejected with the offending field path.  The optional ``vn`` block
-carries a pure-noise distribution and perturbation directions (row averages
-repaired the same way).  Unknown keys in the ``vn`` and ``simulation``
-blocks are rejected.  Reports serialize deterministically: sorted keys,
-floats at 12 significant digits, every numeric entry tagged with its unit.
+The top-level keys are those of the example; only ``channels`` or ``vn`` is
+required.  Channel rows whose sums are within 1e-9 of one are renormalized;
+anything worse is rejected with the offending field path.  The optional
+``vn`` block carries a pure-noise distribution and perturbation directions
+(row averages repaired the same way).  Channel shapes and the ``components``
+partitions are checked by ``CompoundSet`` and ``DirectionSet`` themselves;
+their errors are reported at the block's path.  Unknown keys are rejected at
+every level.  Reports serialize deterministically: sorted keys, floats at 12
+significant digits, every numeric entry tagged with its unit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .probability import Channel, Distribution
 from .rates import CompoundSet
-from .simulate import CODEWORD_CAP
+from .simulate import DECODERS, METHODS
 from .vn import Direction, DirectionSet, embed
 
 ROW_SUM_REPAIR_TOL = 1e-9
@@ -64,8 +67,6 @@ class SimulationConfig:
     seed: int = 1
     decoder: str = "gmap"
     method: str = "codebook"
-    fresh_codebook: bool = True
-    max_codewords: int = CODEWORD_CAP
 
 
 @dataclass
@@ -97,10 +98,18 @@ def _nonempty_list(raw, path: str, what: str) -> list:
     return raw
 
 
-def _reject_unknown(raw: dict, fields, path: str) -> None:
+def _reject_unknown(raw: dict, fields, prefix: str) -> None:
     for key in raw:
         if key not in fields:
-            raise ScenarioError(f"{path}.{key}", "unknown field")
+            raise ScenarioError(f"{prefix}{key}", "unknown field")
+
+
+def _checked(path: str, make, *args):
+    """``make(*args)``, with a ``ValueError`` from the library's own checks reported at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
 
 
 def _need(raw: dict, key: str, path: str):
@@ -148,20 +157,9 @@ def _parse_distribution(raw, path: str) -> Distribution:
     return Distribution(p / total)
 
 
-def _parse_components(raw, count: int, path: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        blocks = tuple(tuple(int(i) for i in blk) for blk in raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(path, "expected a list of index lists") from None
-    seen = sorted(i for blk in blocks for i in blk)
-    if seen != list(range(count)):
-        raise ScenarioError(path, f"blocks must partition 0..{count - 1}, got {seen}")
-    return blocks
-
-
 def _parse_vn(raw, path: str) -> VnBlock:
     raw = _object(raw, path)
-    _reject_unknown(raw, ("noise", "directions", "components", "epsilons"), path)
+    _reject_unknown(raw, ("noise", "directions", "components", "epsilons"), f"{path}.")
     noise = _parse_distribution(_need(raw, "noise", path), f"{path}.noise")
     raw_dirs = _nonempty_list(_need(raw, "directions", path), f"{path}.directions", "direction")
     dirs = []
@@ -178,16 +176,17 @@ def _parse_vn(raw, path: str) -> VnBlock:
                 f"noise-weighted row average {np.abs(row_avg).max():.3e} exceeds {ROW_SUM_REPAIR_TOL}",
             )
         dirs.append(Direction(m - row_avg[:, None], noise))
-    comps = ()
+    dset = _checked(f"{path}.directions", DirectionSet, tuple(dirs))
     if "components" in raw:
-        comps = _parse_components(raw["components"], len(dirs), f"{path}.components")
+        comps = _nonempty_list(raw["components"], f"{path}.components", "block")
+        dset = _checked(f"{path}.components", DirectionSet, dset.directions, comps)
     try:
         eps = tuple(float(e) for e in raw.get("epsilons", (0.1, 0.05, 0.025)))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}.epsilons", f"expected a list of numbers: {exc}") from None
     if any(e <= 0 for e in eps):
         raise ScenarioError(f"{path}.epsilons", "epsilons must be positive")
-    return VnBlock(noise=noise, directions=DirectionSet(tuple(dirs), comps), epsilons=eps)
+    return VnBlock(noise=noise, directions=dset, epsilons=eps)
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
@@ -195,23 +194,17 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     version = raw.get("schema_version", 1)
     if version != 1:
         raise ScenarioError("schema_version", f"unsupported version {version}")
+    _reject_unknown(raw, ("schema_version", "name", "channels", "components", "input", "vn", "simulation"), "")
 
     channels = None
     if "channels" in raw:
         raw_ch = _nonempty_list(raw["channels"], "channels", "channel")
-        parsed = [_parse_channel(c, f"channels[{k}]") for k, c in enumerate(raw_ch)]
-        shape = parsed[0].matrix.shape
-        for k, ch in enumerate(parsed):
-            if ch.matrix.shape != shape:
-                raise ScenarioError(f"channels[{k}]", f"shape {ch.matrix.shape} != {shape}")
-        if "input_alphabet" in raw and raw["input_alphabet"] != shape[0]:
-            raise ScenarioError("input_alphabet", f"declared {raw['input_alphabet']}, channels have {shape[0]}")
-        if "output_alphabet" in raw and raw["output_alphabet"] != shape[1]:
-            raise ScenarioError("output_alphabet", f"declared {raw['output_alphabet']}, channels have {shape[1]}")
-        comps = ()
+        parsed = tuple(_parse_channel(c, f"channels[{k}]") for k, c in enumerate(raw_ch))
+        # Members alone first, so that a shape error and a partition error each get their key.
+        channels = _checked("channels", CompoundSet, parsed)
         if "components" in raw:
-            comps = _parse_components(raw["components"], len(parsed), "components")
-        channels = CompoundSet(tuple(parsed), comps)
+            comps = _nonempty_list(raw["components"], "components", "block")
+            channels = _checked("components", CompoundSet, parsed, comps)
 
     vn = _parse_vn(raw["vn"], "vn") if "vn" in raw else None
     if channels is None and vn is None:
@@ -230,14 +223,14 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         # Each given value is converted to the type of its field's default; the
         # scenario spells block_length as "n".
         fields = {"n" if f.name == "block_length" else f.name: f for f in dataclasses.fields(SimulationConfig)}
-        _reject_unknown(s, fields, "simulation")
+        _reject_unknown(s, fields, "simulation.")
         try:
             sim = SimulationConfig(**{fields[k].name: type(fields[k].default)(v) for k, v in s.items()})
         except (TypeError, ValueError) as exc:
             raise ScenarioError("simulation", str(exc)) from None
-        if sim.decoder not in ("ml", "map", "glrt", "gmap", "mmi"):
+        if sim.decoder not in DECODERS:
             raise ScenarioError("simulation.decoder", f"unknown decoder {sim.decoder!r}")
-        if sim.method not in ("codebook", "ensemble"):
+        if sim.method not in METHODS:
             raise ScenarioError("simulation.method", f"unknown method {sim.method!r}")
 
     return Scenario(

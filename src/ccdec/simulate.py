@@ -43,8 +43,12 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .probability import Channel, Distribution
-from .rates import CompoundSet, Metric, _metric_values
+from .rates import FAMILIES, CompoundSet, Metric, _metric_values
 
+# The error estimators, and the decoders a simulation takes: the rate families and MMI.
+METHODS = ("codebook", "ensemble")
+DECODERS = FAMILIES + ("mmi",)
+# Most codewords the codebook method materializes.
 CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 _TYPE_BUDGET = 2_000_000  # joint types one ensemble trial may enumerate
@@ -302,13 +306,11 @@ def estimate_error(
     seed: int,
     *,
     method: str = "codebook",
-    fresh_codebook: bool = True,
-    max_codewords: int = CODEWORD_CAP,
 ) -> list[TrialStats]:
     """Per-channel error statistics at rate ``rate_bits`` (bits per symbol).
 
     The codeword count is ``M = ceil(2^(n * rate_bits))``.  In codebook mode
-    M must respect ``max_codewords``; ensemble mode handles any M.
+    M must be at most ``CODEWORD_CAP``; ensemble mode handles any M.
     """
     if block_length < 1:
         raise ValueError("block_length must be at least 1")
@@ -318,7 +320,7 @@ def estimate_error(
         raise ValueError(f"rate_bits must be finite, got {rate_bits}")
     if rate_bits <= 0.0:
         raise ValueError("rate_bits must be positive")
-    if method not in ("codebook", "ensemble"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n = block_length
     bits = n * rate_bits
@@ -326,13 +328,11 @@ def estimate_error(
         num_codewords = max(2, math.ceil(2.0 ** bits))
     except OverflowError:  # past the float range: 2^frac(bits) as a float, times 2^floor(bits) exactly
         num_codewords = int(math.ldexp(2.0 ** (bits % 1), 52)) << (math.floor(bits) - 52)
-    if method == "codebook" and num_codewords > max_codewords:
+    if method == "codebook" and num_codewords > CODEWORD_CAP:
         raise ValueError(
-            f"M={format_count(num_codewords)} codewords exceeds the cap {max_codewords}; "
+            f"M={format_count(num_codewords)} codewords exceeds the cap {CODEWORD_CAP}; "
             "lower the rate or blocklength, or use method='ensemble'"
         )
-    if method == "ensemble" and not fresh_codebook:
-        raise ValueError("ensemble mode always redraws the codebook")
 
     nx = cset.channels[0].nx
     ny = cset.channels[0].ny
@@ -344,14 +344,9 @@ def estimate_error(
         errors = 0
         tie_errors = 0
         prob_sum = 0.0
-        fixed = None
-        if method == "codebook" and not fresh_codebook:
-            fixed = generate_codebook(input_dist, n, num_codewords, [seed, 0])
         for t in range(trials):
             if method == "codebook":
-                cb = fixed if fixed is not None else generate_codebook(
-                    input_dist, n, num_codewords, [seed, ch_idx, t, 0]
-                )
+                cb = generate_codebook(input_dist, n, num_codewords, [seed, ch_idx, t, 0])
                 msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(cb.num_codewords))
                 y = transmit(channel, cb.words[msg], [seed, ch_idx, t, 2])
                 scores = score_codewords(y, cb, spec, nx, ny)

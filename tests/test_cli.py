@@ -303,6 +303,9 @@ class TestSimulate:
                 {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], "epsilon": [0.1]}},
                 "vn.epsilon",
             ),
+            (["simulate"], {"simulation": {"max_codewords": 8}}, "simulation.max_codewords"),
+            (["capacity"], {"inputs": [0.5, 0.5]}, "inputs"),
+            (["analyze"], {"input_alphabet": 2}, "input_alphabet"),
         ],
     )
     def test_unknown_scenario_field_exits_2(self, capsys, tmp_path, command, block, key):

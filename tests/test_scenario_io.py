@@ -15,12 +15,12 @@ from ccdec import (
     write_report,
 )
 from ccdec.scenario import BUILTIN_SCENARIOS, COUNTEREXAMPLE_DIRECTIONS, SimulationConfig
-from ccdec.simulate import CODEWORD_CAP
 
 MINIMAL = {
     "schema_version": 1,
     "channels": [[[0.9, 0.1], [0.2, 0.8]]],
 }
+VN_ONE = {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]]}
 
 
 class TestLoadScenario:
@@ -103,12 +103,38 @@ class TestLoadScenario:
                 {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], "epsilons": ["x"]}},
                 "vn.epsilons",
             ),
+            ({"components": []}, "components"),
+            ({"components": 5}, "components"),
+            ({"components": None}, "components"),
+            ({"components": [5]}, "components"),
+            ({"components": [["a"]]}, "components"),
+            ({"vn": dict(VN_ONE, components=[])}, "vn.components"),
+            ({"vn": dict(VN_ONE, components=[[1]])}, "vn.components"),
+            (
+                {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0]], [[1.0, -1.0], [0.0, 0.0]]]}},
+                "vn.directions",
+            ),
         ],
     )
     def test_wrong_field_type_rejected_with_field_path(self, extra, field_path):
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(dict(MINIMAL, **extra))
         assert exc.value.field_path == field_path
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                {"channels": [[[0.9, 0.1], [0.2, 0.8]], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]]},
+                "channels: CompoundSet: channel 1 has shape (3, 2), expected (2, 2)",
+            ),
+            ({"components": [[0], [0]]}, "components: CompoundSet: components must partition the indices 0..0"),
+        ],
+    )
+    def test_library_check_reported_at_its_key(self, extra, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(dict(MINIMAL, **extra))
+        assert str(exc.value) == message
 
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError):
@@ -124,12 +150,10 @@ class TestSimulationBlock:
     def test_empty_block_gives_the_defaults(self):
         sim = scenario_from_dict(dict(MINIMAL, simulation={})).simulation
         assert sim == SimulationConfig()
-        assert sim.max_codewords == CODEWORD_CAP
 
     def test_partial_block_keeps_the_other_defaults(self):
-        sim = scenario_from_dict(dict(MINIMAL, simulation={"n": 8, "decoder": "mmi", "fresh_codebook": 0})).simulation
-        assert sim == dataclasses.replace(SimulationConfig(), block_length=8, decoder="mmi", fresh_codebook=False)
-        assert type(sim.fresh_codebook) is bool
+        sim = scenario_from_dict(dict(MINIMAL, simulation={"n": 8, "decoder": "mmi"})).simulation
+        assert sim == dataclasses.replace(SimulationConfig(), block_length=8, decoder="mmi")
 
     def test_values_are_converted(self):
         sim = scenario_from_dict(dict(MINIMAL, simulation={"rate_bits": 1, "trials": "40", "seed": 2.0})).simulation
@@ -142,13 +166,21 @@ class TestSimulationBlock:
             ("simulation", {"trails": 5, "n": 8}, "trails"),
             ("simulation", {"block_length": 8}, "block_length"),
             ("vn", {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], "epsilon": [0.1]}, "epsilon"),
+            ("simulation", {"fresh_codebook": False}, "fresh_codebook"),
+            ("simulation", {"max_codewords": 8}, "max_codewords"),
+            # block None: the keys sit at the top level
+            (None, {"inputs": [0.3, 0.7], "compnents": [[0]]}, "inputs"),
+            (None, {"compnents": [[0]]}, "compnents"),
+            (None, {"input_alphabet": 2}, "input_alphabet"),
+            (None, {"output_alphabet": 2}, "output_alphabet"),
         ],
     )
     def test_unknown_field_rejected(self, block, raw_block, key):
+        path = f"{block}.{key}" if block else key
         with pytest.raises(ScenarioError) as exc:
-            scenario_from_dict(dict(MINIMAL, **{block: raw_block}))
-        assert exc.value.field_path == f"{block}.{key}"
-        assert str(exc.value) == f"{block}.{key}: unknown field"
+            scenario_from_dict(dict(MINIMAL, **({block: raw_block} if block else raw_block)))
+        assert exc.value.field_path == path
+        assert str(exc.value) == f"{path}: unknown field"
 
     def test_conversion_error_names_the_block(self):
         with pytest.raises(ScenarioError) as exc:

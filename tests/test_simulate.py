@@ -263,14 +263,6 @@ class TestEstimateError:
         sigma = math.sqrt(cb.error_rate * (1 - cb.error_rate) / cb.trials)
         assert abs(en.mean_error_prob - cb.error_rate) <= 4 * sigma + 0.01
 
-    def test_fixed_codebook_mode(self):
-        cset = CompoundSet((Channel.bsc(0.05),))
-        spec = DecoderSpec.linear(Metric(np.log(Channel.bsc(0.05).matrix)))
-        stats = estimate_error(
-            cset, spec, UNIFORM, 16, 0.25, 50, seed=7, fresh_codebook=False
-        )
-        assert stats[0].trials == 50
-
     def test_mmi_close_to_gmap_on_matched_runs(self):
         # the empirical-information decoder needs no channel knowledge yet
         # should not lose to the matched generalized family beyond noise
