@@ -186,6 +186,19 @@ def kl_divergence(p, q) -> float:
     return max(0.0, float(np.sum(np.where(on, a * (np.log(a_on) - np.log(b_on)), 0.0))))
 
 
+def xlogy(x, y) -> np.ndarray:
+    """``x * log(y)`` elementwise for nonnegative ``x`` (probabilities, counts).
+
+    The values of ``scipy.special.xlogy`` there: ``0 * log(y) == 0`` for
+    every ``y``, ``0 log 0`` included, and a positive ``x`` at ``y = 0``
+    gives ``-inf`` without a warning.
+    """
+    x = np.asarray(x, dtype=float)
+    pos = x > 0
+    with np.errstate(divide="ignore"):
+        return np.where(pos, x * np.log(np.where(pos, y, 1.0)), 0.0)
+
+
 def mutual_information(input_dist: Distribution, channel: Channel) -> float:
     """Mutual information I(X;Y) in nats for the given input and channel."""
     mu = joint_of(input_dist, channel)

@@ -50,7 +50,10 @@ polytope only as ``lam`` grows without bound.  If the multiplier reaches the
 cap while the expectation is still short of the threshold by more than
 ``INFEASIBLE_SLACK``, the constraint set is declared empty and the value is
 the ``+inf`` sentinel (not an exception: infima over constrained families
-legitimately touch this boundary).
+legitimately touch this boundary).  A transportation LP settles the
+question early: once the multiplier passes 64, and whenever a fit stalls
+while the bracket grows.  A stalled fit below a reachable threshold is a
+``SolverError``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .probability import SUPPORT_FLOOR, Distribution, Joint, _values
 
@@ -76,7 +78,11 @@ _SHIFT_FLOOR = -np.finfo(float).max
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative fit fails to converge."""
+    """Raised when an iterative fit fails to converge; ``residual`` is its last marginal mismatch."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass
@@ -104,6 +110,8 @@ def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarr
     A small transportation linear program; used to recognize unreachable
     thresholds without chasing the multiplier to its cap.
     """
+    from scipy.optimize import linprog
+
     nx, ny = d.shape
     idx = np.flatnonzero(support.ravel())
     a_eq = np.zeros((nx + ny, idx.size))
@@ -152,7 +160,7 @@ def _log_fit(log_kernel, log_r, log_c, r, c, u, v, marginal_tol, max_iters):
             if resid <= marginal_tol:
                 return mu, u, v, it, resid
     raise SolverError(
-        f"marginal fitting stalled: residual {resid:.3e} after {max_iters} iterations"
+        f"marginal fitting stalled: residual {resid:.3e} after {max_iters} iterations", resid
     )
 
 
@@ -252,7 +260,16 @@ def kl_projection(
     reachable = None
     while True:
         hi = min(hi, LAMBDA_CAP)
-        mu, expect, u, v, resid = fit(hi, u, v)
+        try:
+            mu, expect, u, v, resid = fit(hi, u, v)
+        except SolverError as exc:
+            # The fit can stall while chasing an unreachable threshold: settle
+            # that with the transportation LP, and re-raise a genuine stall.
+            if reachable is None:
+                reachable = _polytope_max(support, r, c, d)
+            if threshold > reachable + INFEASIBLE_SLACK:
+                return infeasible(reachable, exc.residual)
+            raise
         if expect >= threshold:
             break
         lo = hi

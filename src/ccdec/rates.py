@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import xlogy
 
 from .probability import (
     SUPPORT_FLOOR,
@@ -40,6 +38,7 @@ from .probability import (
     joint_of,
     kl_divergence,
     mutual_information,
+    xlogy,
 )
 from .projection import ProjectionResult, kl_projection
 
@@ -77,15 +76,20 @@ class Metric:
 
 
 def partition(components, count: int, owner: str) -> tuple[tuple[int, ...], ...]:
-    """``components`` as index tuples that partition ``range(count)``; none given means one block."""
+    """``components`` as index tuples that partition ``range(count)``; none given means one block.
+
+    Indices must be integers (Python or numpy); a bool or a float is not an index.
+    """
     message = f"{owner}: components must partition the indices 0..{count - 1}"
     try:
-        comps = tuple(tuple(int(i) for i in blk) for blk in components) or (tuple(range(count)),)
-    except (TypeError, ValueError):
+        comps = tuple(tuple(blk) for blk in components) or (tuple(range(count)),)
+    except TypeError:
         raise ValueError(message) from None
-    if sorted(i for blk in comps for i in blk) != list(range(count)):
+    flat = [i for blk in comps for i in blk]
+    integers = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in flat)
+    if not integers or sorted(flat) != list(range(count)):
         raise ValueError(message)
-    return comps
+    return tuple(tuple(int(i) for i in blk) for blk in comps)
 
 
 def _metric_values(d) -> np.ndarray:
@@ -203,6 +207,8 @@ def compound_capacity(cset: CompoundSet, tol: float = 1e-7) -> CapacityResult:
     The returned value is ``f`` evaluated exactly at the best query, hence
     never an overestimate of the true capacity.
     """
+    from scipy.optimize import linprog
+
     if not tol > 0.0:
         raise ValueError(f"capacity tolerance must be positive, got {tol}")
     mats = [w.matrix for w in cset.channels]

@@ -112,6 +112,14 @@ def _checked(path: str, make, *args):
         raise ScenarioError(path, str(exc)) from None
 
 
+def _converted(key: str, value, default):
+    """``value`` as the type of ``default``; a bool, or a fraction for an integer, is rejected, not truncated."""
+    kind = type(default)
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _need(raw: dict, key: str, path: str):
     if key not in raw:
         raise ScenarioError(f"{path}.{key}", "missing required field")
@@ -225,7 +233,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         fields = {"n" if f.name == "block_length" else f.name: f for f in dataclasses.fields(SimulationConfig)}
         _reject_unknown(s, fields, "simulation.")
         try:
-            sim = SimulationConfig(**{fields[k].name: type(fields[k].default)(v) for k, v in s.items()})
+            sim = SimulationConfig(**{fields[k].name: _converted(k, v, fields[k].default) for k, v in s.items()})
         except (TypeError, ValueError) as exc:
             raise ScenarioError("simulation", str(exc)) from None
         if sim.decoder not in DECODERS:

@@ -40,9 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from .probability import Channel, Distribution
+from .probability import Channel, Distribution, xlogy
 from .rates import FAMILIES, CompoundSet, Metric, _metric_values
 
 # The error estimators, and the decoders a simulation takes: the rate families and MMI.
@@ -231,13 +230,23 @@ def _outer_sum(terms) -> np.ndarray:
     return total
 
 
+@functools.cache
+def _log_factorials(n: int) -> np.ndarray:
+    """``log k!`` for ``k = 0..n``, read-only."""
+    table = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
     """Exact probability that an i.i.d. competitor scores at least ``threshold``.
 
     Given the received word, the competitor's joint type is one input-count
     column per output letter b, a multinomial of ``n_b`` draws from the input
     distribution, independently across letters.  Every joint type is one
-    point of the grid spanned by the per-letter columns.
+    point of the grid spanned by the per-letter columns.  Every count lies
+    in ``0..n``, so the multinomial coefficients come from one table of
+    ``log k!``.
     """
     nx = input_dist.size
     sizes = [math.comb(int(n_b) + nx - 1, nx - 1) for n_b in y_counts]
@@ -247,8 +256,9 @@ def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
             "use method='codebook'"
         )
     cols = [_compositions(int(n_b), nx) for n_b in y_counts]
+    log_fact = _log_factorials(n)
     logprob = _outer_sum(
-        gammaln(n_b + 1) - gammaln(c + 1).sum(axis=1) + xlogy(c, input_dist.probs).sum(axis=1)
+        log_fact[n_b] - log_fact[c].sum(axis=1) + xlogy(c, input_dist.probs).sum(axis=1)
         for n_b, c in zip(y_counts, cols)
     )
     if spec.kind == "mmi":

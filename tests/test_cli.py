@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import ccdec.cli
+import ccdec.rates
 from ccdec.cli import main
+from ccdec.projection import INFEASIBLE_SLACK, MARGINAL_TOL, kl_projection
 
 LOG2 = math.log(2.0)
 
@@ -197,6 +199,36 @@ class TestAnalyzeDiagnostics:
         _, second = run(capsys, "analyze", "--scenario", "builtin:union-one-sided")
         assert "diagnostics" in results(first)
         assert first == second
+
+
+class TestStalledFitOnUnreachableThreshold:
+    """On this seeded set, one projection at the capacity input has a threshold
+    0.18 nats above the transportation-LP maximum, and its fit at multiplier
+    64 stalls before the bracket consults the LP."""
+
+    def test_stall_settles_as_infeasible(self, capsys, monkeypatch, tmp_path):
+        rng = np.random.default_rng(1002)
+        scenario = tmp_path / "dirichlet8.json"
+        scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
+        results_seen = []
+
+        def spy(*args):
+            res = kl_projection(*args)
+            results_seen.append(res)
+            return res
+
+        monkeypatch.setattr(ccdec.rates, "kl_projection", spy)
+        code, out = run(capsys, "analyze", "--scenario", str(scenario))
+        assert code == 0
+        # Only a stalled fit leaves a residual above the fit tolerance.
+        stalled = [r for r in results_seen if r.marginal_residual > MARGINAL_TOL]
+        assert len(stalled) == 1
+        assert stalled[0].value == math.inf
+        assert not stalled[0].feasible
+        assert stalled[0].constraint_gap < -INFEASIBLE_SLACK
+        res = results(out)
+        for kind in ("ml", "map", "glrt", "gmap"):
+            assert math.isfinite(res[f"rates_{kind}"]["minimum"]["value"])
 
 
 class TestVnSweep:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy as scipy_xlogy
 
 from ccdec import (
     Channel,
@@ -14,6 +16,7 @@ from ccdec import (
     kl_divergence,
     mutual_information,
 )
+from ccdec.probability import xlogy
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 dims = st.integers(min_value=2, max_value=5)
@@ -168,3 +171,26 @@ class TestMutualInformation:
             my = mu.sum(axis=0)
             direct = float(np.sum(mu * (np.log(w.matrix) - np.log(my)[None, :])))
             assert mutual_information(p, w) == pytest.approx(direct, abs=1e-12)
+
+
+class TestXlogy:
+    def test_matches_scipy(self, rng):
+        x = rng.uniform(0.0, 3.0, size=1000) * (rng.random(1000) < 0.8)
+        y = rng.uniform(1e-12, 5.0, size=1000)
+        np.testing.assert_allclose(xlogy(x, y), scipy_xlogy(x, y), rtol=1e-15, atol=0.0)
+
+    def test_zero_times_log_zero(self):
+        assert xlogy(0.0, 0.0) == 0.0
+        assert xlogy(0.0, 2.0) == 0.0
+
+    def test_positive_times_log_zero_is_minus_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = xlogy(np.array([0.0, 0.5, 2.0]), np.array([0.0, 0.0, 0.0]))
+        assert out.tolist() == [0.0, -math.inf, -math.inf]
+
+    def test_broadcasts_like_scipy(self):
+        counts = np.array([[0, 2, 1], [3, 0, 0]])
+        probs = np.array([0.2, 0.0, 0.8])
+        want = np.array([[0.0, -math.inf, math.log(0.8)], [3 * math.log(0.2), 0.0, 0.0]])
+        np.testing.assert_allclose(xlogy(counts, probs), want, rtol=1e-15, atol=0.0)

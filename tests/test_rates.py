@@ -18,7 +18,7 @@ from ccdec import (
     mutual_information,
     worst_channel,
 )
-from ccdec.rates import min_with_ties, worst_metrics
+from ccdec.rates import min_with_ties, partition, worst_metrics
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 UNIFORM = Distribution.uniform(2)
@@ -201,3 +201,15 @@ class TestWorstChannel:
 class TestMinWithTies:
     def test_first_minimum_and_everything_within_tolerance(self):
         assert min_with_ties(np.array([0.3, 0.1, 0.1 + 5e-10, 0.1, 0.2]), 1e-9) == (1, (1, 2, 3))
+
+
+class TestPartition:
+    def test_numpy_indices_become_python_ints(self):
+        comps = partition([np.array([2, 0]), [np.int64(1)]], 3, "owner")
+        assert comps == ((2, 0), (1,))
+        assert all(type(i) is int for blk in comps for i in blk)
+
+    @pytest.mark.parametrize("index", [np.bool_(True), np.float64(1.0)], ids=["numpy-bool", "numpy-float"])
+    def test_numpy_non_integer_index_rejected(self, index):
+        with pytest.raises(ValueError, match=r"owner: components must partition the indices 0\.\.1"):
+            partition([[0], [index]], 2, "owner")

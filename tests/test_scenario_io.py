@@ -122,6 +122,17 @@ class TestLoadScenario:
         assert exc.value.field_path == field_path
 
     @pytest.mark.parametrize(
+        "components",
+        [[[0.9], [1]], [[0], [1.0]], [[True], [0]], [[0], [True]], [["0"], [1]]],
+        ids=["fraction", "integral-float", "true", "true-as-one", "string"],
+    )
+    def test_non_integer_component_index_rejected(self, components):
+        raw = dict(MINIMAL, channels=[MINIMAL["channels"][0]] * 2, components=components)
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert str(exc.value) == "components: CompoundSet: components must partition the indices 0..1"
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             (
@@ -181,6 +192,21 @@ class TestSimulationBlock:
             scenario_from_dict(dict(MINIMAL, **({block: raw_block} if block else raw_block)))
         assert exc.value.field_path == path
         assert str(exc.value) == f"{path}: unknown field"
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"trials": 2.7}, "simulation: trials must be int, got 2.7"),
+            ({"n": True}, "simulation: n must be int, got True"),
+            ({"seed": False}, "simulation: seed must be int, got False"),
+            ({"rate_bits": True}, "simulation: rate_bits must be float, got True"),
+            ({"trials": math.inf}, "simulation: trials must be int, got inf"),
+        ],
+    )
+    def test_lossy_conversion_rejected(self, block, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(dict(MINIMAL, simulation=block))
+        assert str(exc.value) == message
 
     def test_conversion_error_names_the_block(self):
         with pytest.raises(ScenarioError) as exc:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from ccdec import (
     Channel,
@@ -24,6 +25,7 @@ from ccdec.simulate import (
     _any_competitor_reaches,
     _competitor_exceedance,
     _draw_symbols,
+    _log_factorials,
     _tie_threshold,
     format_count,
     joint_type_counts,
@@ -401,3 +403,15 @@ class TestCompetitorExceedance:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestLogFactorials:
+    def test_matches_gammaln(self):
+        k = np.arange(2001)
+        np.testing.assert_allclose(_log_factorials(2000), gammaln(k + 1), rtol=1e-15, atol=0.0)
+
+    def test_cached_read_only(self):
+        table = _log_factorials(7)
+        assert _log_factorials(7) is table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
