@@ -10,8 +10,9 @@ Builds on the constrained divergence projection:
   ``E_mu[d_k] >= t``.  A linear decoder is the one-metric case, and
   ``mismatched_rate(P, W0, d)`` is ``generalized_rate(P, W0, [d])``.
 * ``compound_capacity``: ``max_P min_k I(P, W_k)`` over the input simplex by
-  cutting planes (one small LP per step, counted in ``iterations``), with
-  the LP's dual weights as an upper-bound certificate.
+  cutting planes (one small matrix game per step, solved by a warm-started
+  simplex and counted in ``iterations``), with the game's optimal weights
+  on the planes as an upper-bound certificate.
 * ``worst_channel`` / ``is_one_sided`` / ``one_sided_cover``: the geometric
   condition under which the single worst-channel metric already achieves
   capacity, and a greedy partition of a channel set into such pieces.
@@ -44,15 +45,14 @@ from .projection import ProjectionResult, kl_projection
 
 WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
-# LP solves after which ``compound_capacity`` stops short of its tolerance.
+# Master solves after which ``compound_capacity`` stops short of its tolerance.
 CAPACITY_MAX_ITERATIONS = 100_000
 # Metric kind of each decoder family: "ml" for log W, "map" for log(W / q).
 _METRIC_KIND = {"ml": "ml", "map": "map", "glrt": "ml", "gmap": "map"}
 # The decoder families, in report order.
 FAMILIES = tuple(_METRIC_KIND)
-# HiGHS feasibility tolerances of the capacity master LP; at the defaults
-# (1e-7) the certified gap stalls between 1e-8 and 1e-7.
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# Smallest reduced cost and pivot entry the master simplex acts on.
+_PIVOT_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,16 +161,39 @@ def generalized_rate(input_dist: Distribution, channel: Channel, metrics) -> flo
     return generalized_rate_detail(input_dist, channel, metrics)[0]
 
 
-def _per_letter_divergences(channel_matrix: np.ndarray, output_dist: np.ndarray) -> np.ndarray:
-    """D(W(.|a) || q) for every input letter a, with 0 log 0 = 0.
+def _game_simplex(cuts: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal cut weights and input of the master game ``max_P min_j (cuts @ P)_j``.
 
-    Exact wherever ``q`` covers the support of ``W(.|a)``; a letter whose
-    row reaches outside it gets a finite, too-small value instead of +inf.
+    The entries of ``cuts`` are divergences, hence nonnegative, so
+    ``A = cuts + 1`` is positive and the game ``A`` has a positive value.
+    Primal simplex with Bland's rule on ``max 1.y  s.t.  A^T y <= 1, y >= 0``:
+    the columns are the ``|X|`` slacks, then the cuts in order, and
+    ``basis`` (one column per row, updated in place) starts at the slacks.
+    Appending a cut appends a column, so the last optimal basis stays
+    feasible and warm-starts the next solve.  At the optimum ``y / sum y``
+    are the cut weights and the simplex prices ``x``, normalized, the input.
     """
-    w = channel_matrix
-    safe_q = np.where(output_dist > 0.0, output_dist, 1.0)
-    terms = xlogy(w, w) - w * np.log(safe_q)
-    return terms.sum(axis=1)
+    nx = cuts.shape[1]
+    cols = np.hstack([np.eye(nx), cuts.T + 1.0])
+    cost = np.repeat([0.0, 1.0], [nx, len(cuts)])
+    ones = np.ones(nx)
+    while True:
+        basic = cols[:, basis]
+        values = np.maximum(np.linalg.solve(basic, ones), 0.0)
+        prices = np.linalg.solve(basic.T, cost[basis])
+        improving = np.flatnonzero(cost - prices @ cols > _PIVOT_TOL)
+        if not improving.size:
+            break
+        entering = improving[0]
+        step = np.linalg.solve(basic, cols[:, entering])
+        rows = np.flatnonzero(step > _PIVOT_TOL)
+        ratios = values[rows] / step[rows]
+        tied = rows[ratios <= ratios.min()]
+        basis[min(tied, key=basis.__getitem__)] = entering
+    y = np.zeros(cols.shape[1])
+    y[basis] = values
+    x = np.maximum(prices, 0.0)
+    return y[nx:] / y[nx:].sum(), x / x.sum()
 
 
 @dataclass
@@ -190,13 +213,14 @@ def compound_capacity(cset: CompoundSet, tol: float = 1e-7) -> CapacityResult:
     Kelley's cutting-plane method.  ``I(P, W) = min_q sum_a P(a) D(W(.|a) || q)``,
     so the per-letter divergences ``g`` against any output distribution
     ``q`` give a plane ``P -> g . P`` lying above ``I(., W)``.  Each step
-    adds one plane per channel and solves the master LP ``max t`` subject to
-    ``t <= g . P`` for every plane, ``P`` in the simplex; its solution is the
-    next query.  For any weights ``alpha`` on the planes,
-    ``C <= max_a (alpha G)(a)``; the LP's dual weights make this bound tight,
-    and it certifies the gap to the best query.  The loop stops when the gap
-    is at most ``tol``, when the LP fails or repeats a query, or after
-    ``CAPACITY_MAX_ITERATIONS`` LP solves (the reported ``iterations``).
+    adds one plane per channel, stacked as the rows of ``G``, and solves the
+    master game ``max_P min_j (G P)_j`` by a simplex warm-started from the
+    previous step's basis (``_game_simplex``); its optimal ``P`` is the next
+    query.  For any weights ``alpha`` on the planes,
+    ``C <= max_a (alpha G)(a)``; the game's optimal weights make this bound
+    tight, and it certifies the gap to the best query.  The loop stops when
+    the gap is at most ``tol``, when a query repeats, or after
+    ``CAPACITY_MAX_ITERATIONS`` master solves (the reported ``iterations``).
 
     Planes are taken at the full-support point ``(p + eps/|X|) / (1 + eps)``
     rather than at the query ``p``: where ``p`` has zeros, ``q = p W`` may
@@ -207,20 +231,23 @@ def compound_capacity(cset: CompoundSet, tol: float = 1e-7) -> CapacityResult:
     The returned value is ``f`` evaluated exactly at the best query, hence
     never an overestimate of the true capacity.
     """
-    from scipy.optimize import linprog
-
     if not tol > 0.0:
         raise ValueError(f"capacity tolerance must be positive, got {tol}")
-    mats = [w.matrix for w in cset.channels]
-    nx = mats[0].shape[0]
+    mats = np.stack([w.matrix for w in cset.channels])
+    wlogw = xlogy(mats, mats)
+    nx = mats.shape[1]
     eps = tol / 4.0
 
     def planes(p):
-        return np.stack([_per_letter_divergences(w, p @ w) for w in mats])
+        # D(W_k(.|a) || p W_k) per channel and letter; a letter whose row reaches
+        # outside the support of p W_k gets a finite, too-small value.
+        q = p @ mats
+        return (wlogw - mats * np.log(np.where(q > 0.0, q, 1.0))[:, None, :]).sum(axis=2)
 
     p = np.full(nx, 1.0 / nx)
     best_f, best_p, upper = -math.inf, p, math.inf
     cuts = np.empty((0, nx))
+    basis = list(range(nx))
     visited = set()
     iterations = 0
     while True:
@@ -231,25 +258,9 @@ def compound_capacity(cset: CompoundSet, tol: float = 1e-7) -> CapacityResult:
             break
         visited.add(p.tobytes())
         cuts = np.vstack([cuts, planes((p + eps / nx) / (1.0 + eps))])
-        # Variables (P, t): minimize -t subject to t - G P <= 0, sum P = 1.
-        res = linprog(
-            np.append(np.zeros(nx), -1.0),
-            A_ub=np.hstack([-cuts, np.ones((len(cuts), 1))]),
-            b_ub=np.zeros(len(cuts)),
-            A_eq=np.append(np.ones(nx), 0.0)[None, :],
-            b_eq=np.ones(1),
-            bounds=[(0.0, None)] * nx + [(None, None)],
-            method="highs",
-            options=_LP_OPTIONS,
-        )
+        alpha, p = _game_simplex(cuts, basis)
         iterations += 1
-        if res.status != 0:
-            break
-        # Any nonnegative weights give a valid bound; clipping keeps roundoff out.
-        alpha = np.maximum(-res.ineqlin.marginals, 0.0)
-        upper = min(upper, float((alpha / alpha.sum() @ cuts).max()))
-        p = np.maximum(res.x[:nx], 0.0)
-        p /= p.sum()
+        upper = min(upper, float((alpha @ cuts).max()))
         if p.tobytes() in visited:
             break
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ccdec import Channel, CompoundSet, Distribution, compound_capacity, mutual_information
+from ccdec.rates import _game_simplex
 from conftest import bsc_capacity_nats, random_channel
 
 
@@ -129,3 +130,72 @@ class TestDiagnostics:
         cap = compound_capacity(CompoundSet((Channel.bsc(0.2),)), tol=1e-4)
         assert cap.converged
         assert cap.certificate_gap <= 1e-4
+
+
+def highs_game_value(cuts):
+    """``max_P min_j (cuts @ P)_j`` by scipy's HiGHS, the reference for the master simplex."""
+    from scipy.optimize import linprog
+
+    m, nx = cuts.shape
+    res = linprog(
+        np.append(np.zeros(nx), -1.0),
+        A_ub=np.hstack([-cuts, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(nx), 0.0)[None, :],
+        b_eq=np.ones(1),
+        bounds=[(0.0, None)] * nx + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+GAME_KINDS = ("plain", "rounded", "zero-cut", "duplicated", "one-input")
+
+
+def random_game(rng, kind):
+    nx = 1 if kind == "one-input" else int(rng.integers(2, 6))
+    cuts = rng.exponential(size=(int(rng.integers(1, 20)), nx))
+    if kind == "rounded":
+        # coarse entries make ties and degenerate vertices common
+        cuts = np.round(cuts, 1)
+    elif kind == "zero-cut":
+        # the plane of a pure-noise member
+        cuts[rng.integers(len(cuts))] = 0.0
+    elif kind == "duplicated":
+        cuts = np.vstack([cuts, cuts[rng.integers(len(cuts), size=len(cuts))]])
+    return cuts
+
+
+class TestMasterGame:
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_matches_highs_with_a_tight_certificate(self, kind):
+        rng = np.random.default_rng(GAME_KINDS.index(kind))
+        for _ in range(40):
+            cuts = random_game(rng, kind)
+            alpha, p = _game_simplex(cuts, list(range(cuts.shape[1])))
+            assert alpha.min() >= 0.0 and alpha.sum() == pytest.approx(1.0, abs=1e-14)
+            assert p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-14)
+            value = (cuts @ p).min()
+            assert (alpha @ cuts).max() - value <= 1e-12
+            assert value == pytest.approx(highs_game_value(cuts), abs=1e-12)
+
+    def test_warm_start_gives_the_cold_value(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            cuts = random_game(rng, "rounded")
+            nx = cuts.shape[1]
+            warm = list(range(nx))
+            for stop in range(1, len(cuts)):
+                _game_simplex(cuts[:stop], warm)
+            _, p_warm = _game_simplex(cuts, warm)
+            _, p_cold = _game_simplex(cuts, list(range(nx)))
+            assert (cuts @ p_warm).min() == pytest.approx((cuts @ p_cold).min(), abs=1e-12)
+
+    def test_one_input_letter_has_zero_capacity(self, rng):
+        for count in (1, 2, 4):
+            channels = tuple(Channel(rng.dirichlet(np.ones(3))[None, :]) for _ in range(count))
+            cap = compound_capacity(CompoundSet(channels))
+            assert cap.value == 0.0
+            assert cap.converged

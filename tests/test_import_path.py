@@ -1,9 +1,9 @@
 """Which commands load scipy, each checked in a fresh interpreter.
 
-scipy is imported only where a linear program is solved: by
-``compound_capacity`` and by the projection's infeasible-threshold LP.  The
-test process itself has imported scipy through other test modules, so every
-check runs in a subprocess.
+scipy is imported only by the projection's infeasible-threshold LP
+(``projection._polytope_max``); ``compound_capacity`` solves its master game
+in numpy.  The test process itself has imported scipy through other test
+modules, so every check runs in a subprocess.
 """
 
 import json
@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ccdec
@@ -49,14 +50,32 @@ SIM = ("simulate", "--scenario", "builtin:bsc-quarter", "--trials", "5", "--seed
         (("vn", "counterexample"), 0),
         (SIM + ("--method", "codebook"), 0),
         (SIM + ("--method", "ensemble"), 0),
+        (("analyze", "--scenario", "builtin:bsc-quarter"), 0),
+        (("analyze", "--scenario", "builtin:counterexample"), 0),
+        (("capacity", "--scenario", "builtin:union-one-sided"), 0),
+        (("one-sided", "--scenario", "builtin:union-one-sided"), 0),
     ],
-    ids=["import", "vn-counterexample", "simulate-codebook", "simulate-ensemble"],
+    ids=[
+        "import",
+        "vn-counterexample",
+        "simulate-codebook",
+        "simulate-ensemble",
+        "analyze-bsc-quarter",
+        "analyze-counterexample",
+        "capacity-union-one-sided",
+        "one-sided-union-one-sided",
+    ],
 )
 def test_no_scipy_loaded(argv, code):
     assert run_child(*argv) == [code, []]
 
 
-def test_analyze_loads_the_lp_solver_on_demand():
-    code, modules = run_child("analyze", "--scenario", "builtin:bsc-quarter")
+def test_analyze_loads_the_lp_solver_on_demand(tmp_path):
+    # The set of test_cli.py::TestStalledFitOnUnreachableThreshold: one of its
+    # projections has an unreachable threshold, which the LP settles.
+    rng = np.random.default_rng(1002)
+    scenario = tmp_path / "dirichlet8.json"
+    scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
+    code, modules = run_child("analyze", "--scenario", str(scenario))
     assert code == 0
     assert "scipy.optimize" in modules

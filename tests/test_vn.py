@@ -16,6 +16,7 @@ from ccdec import (
     embed,
     inner,
     is_one_sided,
+    mutual_information,
     norm_sq,
     vn_compound_capacity,
     vn_glrt_rate,
@@ -219,6 +220,34 @@ class TestOneSidedLifting:
             assert errors[0] < 1e-2
             assert errors[1] <= errors[0] / 5.0
         assert clear > 0
+
+
+# Closed forms of the very-noisy geometry with their global twins.  A row maps
+# (direction set, input, eps) to (2/eps^2 times the global value, the local value).
+LIFTING_ROWS = {
+    "capacity": lambda dset, p, eps: (
+        2.0 / eps**2 * min(mutual_information(p, embed(d, eps)) for d in dset.directions),
+        vn_compound_capacity(dset, p).value,
+    ),
+}
+
+
+class TestClosedFormLifting:
+    """Each local closed form is the limit of its scaled global twin."""
+
+    @pytest.mark.parametrize("row", sorted(LIFTING_ROWS))
+    def test_scaled_global_values_approach_local_ones(self, row):
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            noise = Distribution(rng.dirichlet(np.ones(3) * 4.0))
+            p = Distribution(rng.dirichlet(np.ones(2) * 4.0))
+            dset = DirectionSet(tuple(random_direction(rng, 2, noise) for _ in range(3)))
+            errors = []
+            for eps in (1e-2, 1e-3):
+                scaled, local = LIFTING_ROWS[row](dset, p, eps)
+                errors.append(abs(scaled - local) / local)
+            assert errors[1] <= errors[0] / 5.0
+            assert errors[1] < 1e-2
 
 
 class TestGlrtRate:
