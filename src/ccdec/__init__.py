@@ -23,6 +23,7 @@ from .rates import (
     CompoundSet,
     Metric,
     RateReport,
+    SetAnalysis,
     build_metrics,
     compound_capacity,
     decoder_rates,

@@ -34,11 +34,11 @@ from .projection import SolverError
 from .rates import (
     FAMILIES,
     CompoundSet,
+    SetAnalysis,
     compound_capacity,
     decoder_rates,
     is_one_sided,
     one_sided_cover,
-    worst_channel,
     worst_metrics,
     worst_per_block,
 )
@@ -148,11 +148,9 @@ def _vn_input(args):
     return scenario, p_x
 
 
-def _blocks(cset: CompoundSet, p_x: Distribution, cover=None):
+def _blocks(analysis: SetAnalysis):
     """Blocks of the generalized decoders: the declared components, else a one-sided cover."""
-    if len(cset.components) > 1:
-        return cset.components
-    return cover if cover is not None else one_sided_cover(cset, p_x)
+    return analysis.cset.components if len(analysis.cset.components) > 1 else analysis.cover
 
 
 def _add_capacity(report: Report, cap) -> None:
@@ -178,26 +176,25 @@ def cmd_analyze(args) -> int:
     _add_capacity(report, cap)
 
     p_x = scenario.input_dist if scenario.input_dist is not None else cap.input_dist
-    worst = worst_channel(cset, p_x)
+    analysis = SetAnalysis(cset, p_x)
+    worst = analysis.worst
     report.add("worst", "index", worst.index)
     report.add("worst", "tie", worst.tie)
     for k, info in enumerate(worst.mutual_informations):
         report.add("worst", f"mutual_information[{k}]", float(info), "nats")
 
-    verdict = is_one_sided(cset, p_x)
+    verdict = analysis.verdict()
     report.add("one_sided", "whole_set", verdict.one_sided)
     if verdict.witness is not None:
         report.add("one_sided", "witness", verdict.witness)
-    cover = one_sided_cover(cset, p_x)
-    _add_cover(report, cover)
+    _add_cover(report, analysis.cover)
 
-    blocks = _blocks(cset, p_x, cover)
+    blocks = _blocks(analysis)
     for b, blk in enumerate(blocks):
-        sub_verdict = is_one_sided(cset.restrict(blk), p_x)
-        report.add("one_sided", f"component[{b}]", sub_verdict.one_sided)
+        report.add("one_sided", f"component[{b}]", analysis.verdict(blk).one_sided)
 
     for kind in FAMILIES:
-        rep = decoder_rates(cset, p_x, kind, cover=blocks)
+        rep = decoder_rates(analysis, kind, blocks)
         for k, r in enumerate(rep.rates):
             report.add(f"rates_{kind}", f"channel[{k}]", float(r), "nats")
         report.add(f"rates_{kind}", "minimum", rep.minimum, "nats")
@@ -238,8 +235,7 @@ def cmd_one_sided(args) -> int:
     return code
 
 
-def _component_worst_directions(dset: DirectionSet, p_x):
-    norms = vn_compound_capacity(dset, p_x).norms
+def _component_worst_directions(dset: DirectionSet, norms):
     return [dset.directions[i] for i in worst_per_block(norms, dset.components)]
 
 
@@ -259,7 +255,7 @@ def cmd_vn_counterexample(args) -> int:
     verdicts = [vn_is_one_sided(dset.restrict(blk), p_x) for blk in dset.components]
     for b, v in enumerate(verdicts):
         report.add("one_sided", f"component[{b}]", v.one_sided)
-    worsts = _component_worst_directions(dset, p_x)
+    worsts = _component_worst_directions(dset, cap.norms)
     glrt = [vn_glrt_rate(d, worsts, p_x) for d in dset.directions]
     gmap = [vn_gmap_rate(d, worsts, p_x) for d in dset.directions]
     for k in range(dset.size):
@@ -309,7 +305,8 @@ def cmd_vn_sweep(args) -> int:
 def cmd_vn_blind(args) -> int:
     scenario, p_x = _vn_input(args)
     dset = scenario.vn.directions
-    res = blind_polytope_rate(_component_worst_directions(dset, p_x), dset, p_x)
+    worsts = _component_worst_directions(dset, vn_compound_capacity(dset, p_x).norms)
+    res = blind_polytope_rate(worsts, dset, p_x)
     report = Report(meta={"command": "vn blind", "scenario": scenario.name, "units": "vn"})
     report.add("blind", "polytope_rate", res.value, "vn-rate")
     report.add("blind", "capacity", res.capacity, "vn-rate")
@@ -365,8 +362,9 @@ def cmd_simulate(args) -> int:
 def _decoder_spec(decoder: str, cset: CompoundSet, p_x: Distribution) -> DecoderSpec:
     if decoder == "mmi":
         return DecoderSpec.mmi()
-    blocks = _blocks(cset, p_x) if decoder in ("glrt", "gmap") else None
-    return DecoderSpec.generalized(worst_metrics(cset, p_x, decoder, blocks)[1])
+    analysis = SetAnalysis(cset, p_x)
+    blocks = _blocks(analysis) if decoder in ("glrt", "gmap") else None
+    return DecoderSpec.generalized(worst_metrics(analysis, decoder, blocks)[1])
 
 
 def main(argv=None) -> int:

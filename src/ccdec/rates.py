@@ -13,13 +13,13 @@ Builds on the constrained divergence projection:
   cutting planes (one small matrix game per step, solved by a warm-started
   simplex and counted in ``iterations``), with the game's optimal weights
   on the planes as an upper-bound certificate.
-* ``worst_channel`` / ``is_one_sided`` / ``one_sided_cover``: the geometric
-  condition under which the single worst-channel metric already achieves
-  capacity, and a greedy partition of a channel set into such pieces.
+* ``SetAnalysis``: one record per channel set and input.  ``worst_channel``,
+  ``is_one_sided`` (when the single worst-channel metric achieves capacity),
+  ``one_sided_cover`` and ``generalized_rate`` are views of a fresh record.
   ``one_sided_verdict``, ``worst_per_block`` and ``partition`` serve ``vn`` too.
 * ``build_metrics``: maximum-likelihood metrics ``log W_k`` and maximum a
-  posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` picks the
-  channels they come from for each decoder family, one per block.  The
+  posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` reads the
+  channels they come from off a record, one per block.  The
   linear ML and MAP decoders are the GLRT and GMAP decoders whose one block
   is the whole set.
 """
@@ -36,6 +36,7 @@ from .probability import (
     SUPPORT_FLOOR,
     Channel,
     Distribution,
+    Joint,
     joint_of,
     kl_divergence,
     mutual_information,
@@ -76,7 +77,7 @@ class Metric:
 
 
 def partition(components, count: int, owner: str) -> tuple[tuple[int, ...], ...]:
-    """``components`` as index tuples that partition ``range(count)``; none given means one block.
+    """``components`` as nonempty index tuples that partition ``range(count)``; none given means one block.
 
     Indices must be integers (Python or numpy); a bool or a float is not an index.
     """
@@ -87,7 +88,7 @@ def partition(components, count: int, owner: str) -> tuple[tuple[int, ...], ...]
         raise ValueError(message) from None
     flat = [i for blk in comps for i in blk]
     integers = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in flat)
-    if not integers or sorted(flat) != list(range(count)):
+    if not integers or sorted(flat) != list(range(count)) or () in comps:
         raise ValueError(message)
     return tuple(tuple(int(i) for i in blk) for blk in comps)
 
@@ -131,34 +132,9 @@ def mismatched_rate(input_dist: Distribution, channel: Channel, metric) -> float
     return generalized_rate(input_dist, channel, [metric])
 
 
-def generalized_rate_detail(
-    input_dist: Distribution, channel: Channel, metrics
-) -> tuple[float, ProjectionResult | None]:
-    """``generalized_rate`` plus the winning projection (None when every branch is infeasible)."""
-    ds = [_metric_values(d) for d in metrics]
-    if not ds:
-        raise ValueError("generalized_rate: need at least one metric")
-    mu0 = joint_of(input_dist, channel)
-    base = mu0.product
-    row, col = mu0.x_marginal, mu0.y_marginal
-    threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
-    results = [kl_projection(base, row, col, d, threshold) for d in ds]
-    values = [res.value for res in results]
-    if not any(math.isfinite(v) for v in values):
-        return math.inf, None
-    best = int(np.argmin(values))
-    return values[best], results[best]
-
-
 def generalized_rate(input_dist: Distribution, channel: Channel, metrics) -> float:
-    """Rate of the generalized linear decoder maximizing several metrics.
-
-    The threshold is the best score the true joint earns across metrics;
-    the rate is the smallest per-metric projection value.  Infeasible
-    branches (+inf) drop out of the minimum unless every branch is
-    infeasible.
-    """
-    return generalized_rate_detail(input_dist, channel, metrics)[0]
+    """Rate on ``channel`` of the generalized linear decoder maximizing ``metrics``: ``SetAnalysis.rate``."""
+    return SetAnalysis(CompoundSet((channel,)), input_dist).rate(0, metrics)[0]
 
 
 def _game_simplex(cuts: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -295,21 +271,9 @@ def worst_per_block(values: np.ndarray, blocks) -> tuple[int, ...]:
     return tuple(blk[int(np.argmin(values[list(blk)]))] for blk in blocks)
 
 
-def _informations(cset: CompoundSet, input_dist: Distribution) -> np.ndarray:
-    return np.array([mutual_information(input_dist, w) for w in cset.channels])
-
-
 def worst_channel(cset: CompoundSet, input_dist: Distribution) -> WorstChannelResult:
     """Channel minimizing I(P, W) over the set; flags near-ties."""
-    infos = _informations(cset, input_dist)
-    idx, tied = min_with_ties(infos, WORST_TIE_TOL)
-    return WorstChannelResult(
-        index=idx,
-        channel=cset.channels[idx],
-        mutual_informations=infos,
-        tie=len(tied) > 1,
-        tie_indices=tied,
-    )
+    return SetAnalysis(cset, input_dist).worst
 
 
 @dataclass
@@ -351,19 +315,91 @@ def one_sided_verdict(values: np.ndarray, margin, member: str) -> OneSidedVerdic
     return OneSidedVerdict(True, None, "all members satisfy the divergence split", worst, margins)
 
 
-def _split_margin(cset: CompoundSet, input_dist: Distribution):
-    """Informations ``I_k`` and ``margin(k, s) = D(mu_k || mu_s^p) - D(mu_k || mu_s) - I_s``."""
-    infos = _informations(cset, input_dist)
-    joints = [joint_of(input_dist, w) for w in cset.channels]
-    product = functools.cache(lambda s: joints[s].product)
+class SetAnalysis:
+    """One channel set at one input: each quantity the rate layer reads, computed once.
 
-    def margin(k: int, s: int) -> float:
-        lhs = kl_divergence(joints[k], product(s))
-        rhs = kl_divergence(joints[k], joints[s]) + infos[s]
+    The informations ``I_k = I(P, W_k)`` and the joints ``mu_k`` are computed
+    on first use, the products ``mu_s^p``, split margins and projections on
+    the first request for each.  A projection is reused only for the same
+    channel, metric values and threshold: the object a fresh call would return.
+    """
+
+    def __init__(self, cset: CompoundSet, input_dist: Distribution):
+        self.cset = cset
+        self.input_dist = input_dist
+        self.product = functools.cache(lambda s: self.joints[s].product)
+        self.margin = functools.cache(self._margin)
+        self._projections: dict[tuple, ProjectionResult] = {}
+
+    @functools.cached_property
+    def informations(self) -> np.ndarray:
+        return np.array([mutual_information(self.input_dist, w) for w in self.cset.channels])
+
+    @functools.cached_property
+    def joints(self) -> tuple[Joint, ...]:
+        return tuple(joint_of(self.input_dist, w) for w in self.cset.channels)
+
+    def _margin(self, k: int, s: int) -> float:
+        """``D(mu_k || mu_s^p) - D(mu_k || mu_s) - I_s``: member ``k``'s slack in the split at ``s``."""
+        lhs = kl_divergence(self.joints[k], self.product(s))
+        rhs = kl_divergence(self.joints[k], self.joints[s]) + self.informations[s]
         # Both sides infinite counts as equality; one infinite side gives +-inf.
         return 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
 
-    return infos, margin
+    @property
+    def worst(self) -> WorstChannelResult:
+        idx, tied = min_with_ties(self.informations, WORST_TIE_TOL)
+        return WorstChannelResult(idx, self.cset.channels[idx], self.informations, len(tied) > 1, tied)
+
+    def verdict(self, block=None) -> OneSidedVerdict:
+        """``is_one_sided`` of the set, or of the channels in ``block`` with indices local to it."""
+        blk = range(self.cset.size) if block is None else tuple(block)
+        values = self.informations[list(blk)]
+        return one_sided_verdict(values, lambda k, s: self.margin(blk[k], blk[s]), "channel")
+
+    @functools.cached_property
+    def cover(self) -> tuple[tuple[int, ...], ...]:
+        """Greedy partition of the channel indices into one-sided blocks.
+
+        Seeds each block with the lowest-information uncovered channel ``s``;
+        a later ``k`` joins when ``I_k > I_s + WORST_TIE_TOL`` and its split
+        margin against ``s`` is at least ``-ONE_SIDED_SLACK``, i.e. when the
+        grown block passes ``verdict``.  Valid but not necessarily minimal.
+        """
+        infos = self.informations
+        remaining = [int(i) for i in np.argsort(infos, kind="stable")]
+        blocks: list[tuple[int, ...]] = []
+        while remaining:
+            seed, *rest = remaining
+            block, remaining = [seed], []
+            for k in rest:
+                joins = infos[k] > infos[seed] + WORST_TIE_TOL and self.margin(k, seed) >= -ONE_SIDED_SLACK
+                (block if joins else remaining).append(k)
+            blocks.append(tuple(sorted(block)))
+        return tuple(blocks)
+
+    def rate(self, k: int, metrics) -> tuple[float, ProjectionResult | None]:
+        """``generalized_rate`` on channel ``k`` and the winning projection (None: all branches infeasible).
+
+        The threshold is the best score the true joint earns across metrics;
+        the rate is the smallest per-metric projection value.  Infeasible
+        branches (+inf) drop out of the minimum unless every branch is.
+        """
+        ds = [_metric_values(d) for d in metrics]
+        if not ds:
+            raise ValueError("generalized_rate: need at least one metric")
+        mu0 = self.joints[k]
+        row, col = mu0.x_marginal, mu0.y_marginal
+        threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
+        results = []
+        for d in ds:
+            key = (k, d.tobytes(), threshold)
+            if key not in self._projections:
+                self._projections[key] = kl_projection(self.product(k), row, col, d, threshold)
+            results.append(self._projections[key])
+        values = [res.value for res in results]
+        best = int(np.argmin(values))
+        return (math.inf, None) if math.isinf(values[best]) else (values[best], results[best])
 
 
 def is_one_sided(cset: CompoundSet, input_dist: Distribution) -> OneSidedVerdict:
@@ -375,28 +411,12 @@ def is_one_sided(cset: CompoundSet, input_dist: Distribution) -> OneSidedVerdict
 
     holds for every member ``W0``; see ``one_sided_verdict``.
     """
-    return one_sided_verdict(*_split_margin(cset, input_dist), "channel")
+    return SetAnalysis(cset, input_dist).verdict()
 
 
 def one_sided_cover(cset: CompoundSet, input_dist: Distribution) -> tuple[tuple[int, ...], ...]:
-    """Greedy partition of the channel indices into one-sided blocks.
-
-    Seeds each block with the lowest-information uncovered channel ``s``; a
-    later ``k`` joins when ``I_k > I_s + WORST_TIE_TOL`` and its split margin
-    against ``s`` is at least ``-ONE_SIDED_SLACK``, i.e. when the grown block
-    passes ``is_one_sided``.  Valid but not necessarily minimal.
-    """
-    infos, margin = _split_margin(cset, input_dist)
-    remaining = [int(i) for i in np.argsort(infos, kind="stable")]
-    blocks: list[tuple[int, ...]] = []
-    while remaining:
-        seed, *rest = remaining
-        block, remaining = [seed], []
-        for k in rest:
-            joins = infos[k] > infos[seed] + WORST_TIE_TOL and margin(k, seed) >= -ONE_SIDED_SLACK
-            (block if joins else remaining).append(k)
-        blocks.append(tuple(sorted(block)))
-    return tuple(blocks)
+    """Greedy partition of the channel indices into one-sided blocks; see ``SetAnalysis.cover``."""
+    return SetAnalysis(cset, input_dist).cover
 
 
 def build_metrics(kind: str, channels, input_dist: Distribution) -> list[Metric]:
@@ -434,12 +454,7 @@ class RateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def worst_metrics(
-    cset: CompoundSet,
-    input_dist: Distribution,
-    kind: str,
-    blocks: tuple[tuple[int, ...], ...] | None = None,
-) -> tuple[tuple[int, ...], list[Metric]]:
+def worst_metrics(analysis: SetAnalysis, kind: str, blocks=None) -> tuple[tuple[int, ...], list[Metric]]:
     """Metrics of a decoder family and the channel indices they come from.
 
     ``glrt`` / ``gmap``: one ML / MAP metric per block (default: the set's
@@ -447,46 +462,31 @@ def worst_metrics(
     ``glrt`` / ``gmap`` with the whole set as their one block; ``blocks``
     is ignored for them.
     """
+    cset = analysis.cset
     if kind not in _METRIC_KIND:
         raise ValueError(f"unknown decoder kind {kind!r}")
     if kind in ("ml", "map"):
         blocks = (tuple(range(cset.size)),)
     elif blocks is None:
         blocks = cset.components
-    idx = worst_per_block(_informations(cset, input_dist), blocks)
-    return idx, build_metrics(_METRIC_KIND[kind], [cset.channels[i] for i in idx], input_dist)
+    idx = worst_per_block(analysis.informations, blocks)
+    return idx, build_metrics(_METRIC_KIND[kind], [cset.channels[i] for i in idx], analysis.input_dist)
 
 
-def decoder_rates(
-    cset: CompoundSet,
-    input_dist: Distribution,
-    kind: str,
-    cover: tuple[tuple[int, ...], ...] | None = None,
-) -> RateReport:
-    """Rates of the four standard decoder families against every member.
-
-    The metrics are those of ``worst_metrics``, with ``cover`` as the blocks
-    of ``glrt`` / ``gmap``.
-    """
-    metric_idx, metrics = worst_metrics(cset, input_dist, kind, cover)
-    rates = np.empty(cset.size)
-    bisections = 0
-    fit_iters = 0
-    residual = 0.0
-    for k, w in enumerate(cset.channels):
-        rates[k], best = generalized_rate_detail(input_dist, w, metrics)
-        if best is not None:
-            bisections += best.bisection_steps
-            fit_iters += best.fit_iterations
-            residual = max(residual, best.marginal_residual)
+def decoder_rates(analysis: SetAnalysis, kind: str, blocks=None) -> RateReport:
+    """Rates against every member of the decoder family ``kind``, with the metrics of ``worst_metrics``."""
+    metric_idx, metrics = worst_metrics(analysis, kind, blocks)
+    values, winners = zip(*(analysis.rate(k, metrics) for k in range(analysis.cset.size)))
+    rates = np.array(values)
+    wins = [res for res in winners if res is not None]
     return RateReport(
         kind=kind,
         rates=rates,
         minimum=float(rates.min()),
         metric_indices=metric_idx,
         diagnostics={
-            "bisection_steps": bisections,
-            "fit_iterations": fit_iters,
-            "max_marginal_residual": residual,
+            "bisection_steps": sum(res.bisection_steps for res in wins),
+            "fit_iterations": sum(res.fit_iterations for res in wins),
+            "max_marginal_residual": max([0.0] + [res.marginal_residual for res in wins]),
         },
     )

@@ -8,7 +8,9 @@ import pytest
 import ccdec.cli
 import ccdec.rates
 from ccdec.cli import main
+from ccdec.probability import mutual_information
 from ccdec.projection import INFEASIBLE_SLACK, MARGINAL_TOL, kl_projection
+from ccdec.scenario import BUILTIN_SCENARIOS
 
 LOG2 = math.log(2.0)
 
@@ -199,6 +201,32 @@ class TestAnalyzeDiagnostics:
         _, second = run(capsys, "analyze", "--scenario", "builtin:union-one-sided")
         assert "diagnostics" in results(first)
         assert first == second
+
+
+class TestAnalyzeComputesEachQuantityOnce:
+    """One analysis record serves the verdicts, the cover and the four families."""
+
+    @pytest.mark.parametrize("name, projections", [("union-one-sided", 24), ("counterexample", 15)])
+    def test_no_projection_or_information_repeats(self, capsys, monkeypatch, name, projections):
+        keys, informations = [], []
+
+        def spy_projection(base, row, col, d, threshold):
+            # The product fixes the channel's marginals; with the metric and
+            # the threshold it fixes the projection.
+            keys.append((base.matrix.tobytes(), np.asarray(d).tobytes(), threshold))
+            return kl_projection(base, row, col, d, threshold)
+
+        def spy_information(*args):
+            informations.append(args)
+            return mutual_information(*args)
+
+        monkeypatch.setattr(ccdec.rates, "kl_projection", spy_projection)
+        monkeypatch.setattr(ccdec.rates, "mutual_information", spy_information)
+        code, _ = run(capsys, "analyze", "--scenario", f"builtin:{name}")
+        assert code == 0
+        assert len(keys) == projections
+        assert len(set(keys)) == len(keys)
+        assert len(informations) <= len(BUILTIN_SCENARIOS[name]()["channels"])
 
 
 class TestStalledFitOnUnreachableThreshold:

@@ -18,7 +18,7 @@ from ccdec import (
     one_sided_cover,
     worst_channel,
 )
-from ccdec.rates import ONE_SIDED_SLACK, WORST_TIE_TOL, OneSidedVerdict
+from ccdec.rates import ONE_SIDED_SLACK, WORST_TIE_TOL, OneSidedVerdict, SetAnalysis
 from ccdec.vn import Direction, embed
 from conftest import random_channel, random_distribution
 
@@ -268,6 +268,12 @@ def near_tie_set(rng):
     return CompoundSet(tuple(chans)), p
 
 
+def random_partition(rng, n):
+    """Blocks of a random partition of ``range(n)``, each in a random order."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    return tuple(tuple(int(i) for i in blk) for blk in np.split(rng.permutation(n), cuts))
+
+
 def same_verdict(a, b) -> bool:
     fields = ("one_sided", "witness", "reason", "worst_index")
     if any(getattr(a, f) != getattr(b, f) for f in fields):
@@ -284,6 +290,7 @@ class TestAgainstReference:
     )
     def test_verdicts_and_covers_match(self, seed, make):
         rng = np.random.default_rng([20240817, seed])
+        partition_rng = np.random.default_rng([20240817, seed, 1])
         ties = failures = 0
         for _ in range(80):
             cset, p = make(rng)
@@ -293,8 +300,13 @@ class TestAgainstReference:
             failures += ref.witness is not None
             cover = one_sided_cover(cset, p)
             assert cover == reference_cover(cset, p)
-            for blk in cover:
-                assert same_verdict(is_one_sided(cset.restrict(blk), p), reference_is_one_sided(cset.restrict(blk), p))
+            analysis = SetAnalysis(cset, p)
+            assert same_verdict(analysis.verdict(), ref)
+            assert analysis.cover == cover
+            for blk in cover + random_partition(partition_rng, cset.size):
+                blk_ref = reference_is_one_sided(cset.restrict(blk), p)
+                assert same_verdict(is_one_sided(cset.restrict(blk), p), blk_ref)
+                assert same_verdict(analysis.verdict(blk), blk_ref)
         if make in (mirrored_tie_set, near_tie_set):
             assert ties > 0
         if make is not segment_union_set:

@@ -18,7 +18,7 @@ from ccdec import (
     mutual_information,
     worst_channel,
 )
-from ccdec.rates import min_with_ties, partition, worst_metrics
+from ccdec.rates import SetAnalysis, min_with_ties, partition, worst_metrics
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 UNIFORM = Distribution.uniform(2)
@@ -121,8 +121,9 @@ class TestLinearIsOneMetricGeneralized:
         for _ in range(5):
             cset = CompoundSet(tuple(random_channel(rng, 3, 3) for _ in range(4)), ((0, 1), (2, 3)))
             p = random_distribution(rng, 3)
-            idx_lin, metrics_lin = worst_metrics(cset, p, linear)
-            idx_gen, metrics_gen = worst_metrics(cset, p, generalized, (tuple(range(cset.size)),))
+            analysis = SetAnalysis(cset, p)
+            idx_lin, metrics_lin = worst_metrics(analysis, linear)
+            idx_gen, metrics_gen = worst_metrics(analysis, generalized, (tuple(range(cset.size)),))
             assert idx_lin == idx_gen
             assert len(metrics_lin) == len(metrics_gen) == 1
             assert np.array_equal(metrics_lin[0].values, metrics_gen[0].values)

@@ -140,6 +140,14 @@ class TestLoadScenario:
                 "channels: CompoundSet: channel 1 has shape (3, 2), expected (2, 2)",
             ),
             ({"components": [[0], [0]]}, "components: CompoundSet: components must partition the indices 0..0"),
+            (
+                {"channels": MINIMAL["channels"] * 2, "components": [[0, 1], []]},
+                "components: CompoundSet: components must partition the indices 0..1",
+            ),
+            (
+                {"vn": dict(VN_ONE, directions=VN_ONE["directions"] * 2, components=[[0, 1], []])},
+                "vn.components: DirectionSet: components must partition the indices 0..1",
+            ),
         ],
     )
     def test_library_check_reported_at_its_key(self, extra, message):
