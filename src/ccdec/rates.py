@@ -321,7 +321,9 @@ class SetAnalysis:
     The informations ``I_k = I(P, W_k)`` and the joints ``mu_k`` are computed
     on first use, the products ``mu_s^p``, split margins and projections on
     the first request for each.  A projection is reused only for the same
-    channel, metric values and threshold: the object a fresh call would return.
+    joint marginals, metric values and threshold, which fix its arguments
+    exactly: the object a fresh call would return.  Channels that share an
+    output marginal at this input share their projections.
     """
 
     def __init__(self, cset: CompoundSet, input_dist: Distribution):
@@ -393,7 +395,7 @@ class SetAnalysis:
         threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
         results = []
         for d in ds:
-            key = (k, d.tobytes(), threshold)
+            key = (row.probs.tobytes(), col.probs.tobytes(), d.tobytes(), threshold)
             if key not in self._projections:
                 self._projections[key] = kl_projection(self.product(k), row, col, d, threshold)
             results.append(self._projections[key])

@@ -11,8 +11,13 @@ information of the type itself.
 Input symbols are drawn by inverse CDF, one uniform per symbol: the letter
 is the number of cumulative input probabilities (divided by their total)
 at or below the uniform, which is the stream ``Generator.choice`` gives for
-the same seed.  Joint types are counted as one matrix product per input
-letter ``a``, ``(words == a) @ onehot(received)``.
+the same seed.  The letters start as the comparison with the first
+threshold and each later comparison is added in place.  Joint types are
+counted as one matrix product per input letter ``a >= 1``,
+``(words == a) @ onehot(received)``; letter 0's counts are the received
+word's letter counts minus the others.  Every count is an integer in
+``0..n``, so the MMI score reads ``k log k`` from one table of ``n + 1``
+entries: ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``.
 
 Two error estimators share the same estimand (the ensemble-average error of
 a fresh random codebook per trial):
@@ -97,7 +102,13 @@ def _draw_symbols(probs: np.ndarray, shape, seed) -> np.ndarray:
     """I.i.d. letters by inverse CDF, one uniform each: the stream of ``Generator.choice``."""
     cdf = np.cumsum(probs)
     u = np.random.default_rng(seed).random(shape)
-    return sum((u >= c for c in cdf[:-1] / cdf[-1]), np.zeros(shape, dtype=np.int64))
+    thresholds = cdf[:-1] / cdf[-1]
+    if not thresholds.size:  # one letter
+        return np.zeros(shape, dtype=np.int64)
+    letters = (u >= thresholds[0]).astype(np.int64)
+    for c in thresholds[1:]:
+        letters += u >= c
+    return letters
 
 
 def transmit(channel: Channel, codeword, seed) -> np.ndarray:
@@ -140,20 +151,41 @@ class DecoderSpec:
 
 
 def joint_type_counts(words: np.ndarray, received: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53."""
+    """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53.
+
+    Letters ``1..nx-1`` are counted by one-hot products; letter 0's row is
+    the received word's letter counts minus theirs.
+    """
     onehot = (received[:, None] == np.arange(ny)).astype(float)
-    return np.stack([(words == a) @ onehot for a in range(nx)], axis=1).astype(np.int64)
+    counts = np.empty((words.shape[0], nx, ny), dtype=np.int64)
+    for a in range(1, nx):
+        counts[:, a] = (words == a).astype(float) @ onehot
+    counts[:, 0] = onehot.sum(axis=0) - counts[:, 1:].sum(axis=1)
+    return counts
+
+
+@functools.cache
+def _count_log_counts(n: int) -> np.ndarray:
+    """``k log k`` for ``k = 0..n`` (``0 log 0 = 0``), read-only."""
+    k = np.arange(n + 1)
+    table = xlogy(k, k)
+    table.flags.writeable = False
+    return table
 
 
 def _type_mutual_information(counts: np.ndarray, n: int) -> np.ndarray:
-    """Mutual information (nats) of each joint type; zeros contribute nothing."""
-    p = counts / n
-    px = p.sum(axis=2)
-    py = p.sum(axis=1)
-    h_xy = -xlogy(p, p).sum(axis=(1, 2))
-    h_x = -xlogy(px, px).sum(axis=1)
-    h_y = -xlogy(py, py).sum(axis=1)
-    return h_x + h_y - h_xy
+    """Mutual information (nats) of each joint type with one received word's output counts.
+
+    With ``t[k] = k log k`` and counts summing to ``n``,
+    ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``; the
+    output counts are the same for every type, so their term is one number.
+    """
+    t = _count_log_counts(n)
+    m, nx, ny = counts.shape
+    s_xy = np.take(t, counts.reshape(m, -1)) @ np.ones(nx * ny)
+    s_x = np.take(t, counts.sum(axis=2)) @ np.ones(nx)
+    s_y = np.take(t, counts[0].sum(axis=0)).sum()
+    return math.log(n) + (s_xy - s_x - s_y) / n
 
 
 def score_codewords(received: np.ndarray, codebook: Codebook, spec: DecoderSpec, nx: int, ny: int) -> np.ndarray:
@@ -217,14 +249,14 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     """
     slots = total + parts - 1
     bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
-    bars = bars.reshape(-1, parts - 1)
+    bars = bars.reshape(math.comb(slots, parts - 1), parts - 1)  # one empty row when parts == 1
     edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)])
     return np.diff(edges, axis=1) - 1
 
 
 def _outer_sum(terms) -> np.ndarray:
     """Grid with axis b holding ``terms[b]``: entry (i0, i1, ...) is the sum of ``terms[b][ib]``."""
-    total = np.zeros(())
+    total = np.zeros((), dtype=np.int64)  # integer terms give an integer grid
     for t in terms:
         total = total[..., None] + t
     return total
@@ -246,7 +278,7 @@ def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
     distribution, independently across letters.  Every joint type is one
     point of the grid spanned by the per-letter columns.  Every count lies
     in ``0..n``, so the multinomial coefficients come from one table of
-    ``log k!``.
+    ``log k!`` and the MMI score from one table of ``k log k``.
     """
     nx = input_dist.size
     sizes = [math.comb(int(n_b) + nx - 1, nx - 1) for n_b in y_counts]
@@ -261,12 +293,11 @@ def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
         log_fact[n_b] - log_fact[c].sum(axis=1) + xlogy(c, input_dist.probs).sum(axis=1)
         for n_b, c in zip(y_counts, cols)
     )
-    if spec.kind == "mmi":
-        h_xy = _outer_sum(-xlogy(c / n, c / n).sum(axis=1) for c in cols)
-        input_freqs = (_outer_sum(c[:, a] for c in cols) / n for a in range(nx))
-        h_x = sum(-xlogy(r, r) for r in input_freqs)
-        h_y = -xlogy(y_counts / n, y_counts / n).sum()
-        score = h_x + h_y - h_xy
+    if spec.kind == "mmi":  # the sums of ``_type_mutual_information`` over the grid
+        t = _count_log_counts(n)
+        s_xy = _outer_sum(t[c].sum(axis=1) for c in cols)
+        s_x = sum(t[_outer_sum(c[:, a] for c in cols)] for a in range(nx))
+        score = math.log(n) + (s_xy - s_x - t[y_counts].sum()) / n
     else:
         per_metric = (
             _outer_sum(c @ _metric_values(d)[:, b] for b, c in enumerate(cols)) / n

@@ -206,7 +206,7 @@ class TestAnalyzeDiagnostics:
 class TestAnalyzeComputesEachQuantityOnce:
     """One analysis record serves the verdicts, the cover and the four families."""
 
-    @pytest.mark.parametrize("name, projections", [("union-one-sided", 24), ("counterexample", 15)])
+    @pytest.mark.parametrize("name, projections", [("union-one-sided", 24), ("counterexample", 15), ("bsc-quarter", 8)])
     def test_no_projection_or_information_repeats(self, capsys, monkeypatch, name, projections):
         keys, informations = [], []
 

@@ -17,16 +17,21 @@ from ccdec import (
     decode,
     estimate_error,
     generate_codebook,
+    mutual_information,
     score_codewords,
     transmit,
 )
+from ccdec.probability import xlogy
 from ccdec.simulate import (
+    METHODS,
     Codebook,
     _any_competitor_reaches,
     _competitor_exceedance,
+    _count_log_counts,
     _draw_symbols,
     _log_factorials,
     _tie_threshold,
+    _type_mutual_information,
     format_count,
     joint_type_counts,
     wilson_interval,
@@ -78,6 +83,13 @@ class TestGenerateCodebook:
             assert np.array_equal(got, want)
             # the CDF is divided by its last entry, as in choice; scaling by 4 is exact
             assert np.array_equal(_draw_symbols(4.0 * probs, (m, n), seed), want)
+
+    def test_one_letter_input_gives_int64_zeros(self):
+        got = generate_codebook(Distribution(np.array([1.0])), 9, 5, seed=4).words
+        want = np.random.default_rng(4).choice(1, size=(5, 9), p=[1.0])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert not got.any()
 
     @pytest.mark.parametrize(
         "probs", [[0.0, 1.0], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0], [0.0, 0.0, 0.3, 0.7]]
@@ -191,6 +203,19 @@ class TestDecode:
         assert scores[0] == pytest.approx(math.log(2), abs=1e-12)  # perfect correlation
         assert scores[1] == pytest.approx(0.0, abs=1e-12)  # independent type
 
+    def test_mmi_decisions_match_xlogy_entropies(self):
+        nx, ny, n = 3, 4, 24
+        cb = generate_codebook(Distribution(np.array([0.2, 0.5, 0.3])), n, 64, seed=21)
+        for t in range(200):
+            y = np.random.default_rng(4000 + t).integers(0, ny, size=n)
+            p = joint_type_counts(cb.words, y, nx, ny) / n
+            px, py = p.sum(axis=2), p.sum(axis=1)
+            want = (
+                xlogy(p, p).sum(axis=(1, 2)) - xlogy(px, px).sum(axis=1) - xlogy(py, py).sum(axis=1)
+            )
+            expected = int(np.argmax(want >= _tie_threshold(float(want.max()))))
+            assert decode(y, cb, DecoderSpec.mmi(), nx, ny) == expected
+
 
 class TestJointTypes:
     def test_counts_sum_to_block_length(self, rng):
@@ -200,7 +225,7 @@ class TestJointTypes:
         assert counts.shape == (5, 2, 2)
         assert np.all(counts.sum(axis=(1, 2)) == 17)
 
-    @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (3, 4), (5, 2), (5, 5)])
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (3, 4), (5, 2), (5, 5), (1, 1), (1, 3)])
     @pytest.mark.parametrize("m", [1, 7])
     def test_matches_loop(self, rng, nx, ny, m):
         n = 13
@@ -213,6 +238,42 @@ class TestJointTypes:
         got = joint_type_counts(words, y, nx, ny)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+class TestTypeMutualInformation:
+    def test_matches_mutual_information_of_the_type(self, rng):
+        for _ in range(300):
+            nx, ny = (int(k) for k in rng.integers(1, 6, size=2))
+            n = int(rng.integers(1, 30))
+            cells = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
+            if nx > 1:
+                cells[rng.integers(nx)] = 0.0  # a zero row
+            if ny > 1:
+                cells[:, rng.integers(ny)] = 0.0  # a zero column
+            counts = rng.multinomial(n, cells.ravel() / cells.sum()).reshape(nx, ny)
+            p = counts / n
+            px = p.sum(axis=1)
+            rows = np.where(px[:, None] > 0, p / np.where(px > 0, px, 1.0)[:, None], 1.0 / ny)
+            want = mutual_information(Distribution(px), Channel(rows))
+            got = _type_mutual_information(counts[None], n)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(want, abs=1e-12)
+
+    def test_codewords_share_the_output_term(self, rng):
+        words = rng.integers(0, 3, size=(9, 11))
+        y = rng.integers(0, 4, size=11)
+        counts = joint_type_counts(words, y, 3, 4)
+        batch = _type_mutual_information(counts, 11)
+        one_by_one = [_type_mutual_information(c[None], 11)[0] for c in counts]
+        np.testing.assert_allclose(batch, one_by_one, rtol=0.0, atol=1e-15)
+
+    def test_table_cached_read_only(self):
+        table = _count_log_counts(6)
+        assert _count_log_counts(6) is table
+        assert table[0] == 0.0
+        np.testing.assert_allclose(table[1:], np.arange(1, 7) * np.log(np.arange(1, 7)), rtol=1e-15)
+        with pytest.raises(ValueError):
+            table[1] = 1.0
 
 
 class TestWilson:
@@ -305,6 +366,15 @@ class TestEstimateError:
         cset = CompoundSet((Channel.bsc(0.05),))
         (st,) = estimate_error(cset, DecoderSpec.mmi(), UNIFORM, 16, 0.25, 0, seed=1, method=method)
         assert (st.trials, st.errors, st.wilson_low, st.wilson_high) == (0, 0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_letter_input(self, method):
+        # every codeword is the constant word, so every trial is a tie
+        cset = CompoundSet((Channel(np.array([[0.2, 0.3, 0.5]])),))
+        stats = estimate_error(cset, DecoderSpec.mmi(), Distribution(np.array([1.0])), 8, 0.3, 5, seed=2, method=method)
+        assert stats[0].errors == 5
+        if method == "ensemble":
+            assert stats[0].mean_error_prob == 1.0
 
     def test_codeword_count_past_float_range(self):
         # n * rate = 1100.8 bits: 2^(n * rate) overflows a float; M is 2^0.8 as a float times 2^1100
