@@ -349,7 +349,8 @@ def cmd_simulate(args) -> int:
     for st in stats:
         sec = f"channel[{st.channel_index}]"
         report.add(sec, "errors", st.errors)
-        report.add(sec, "tie_errors", st.tie_errors)
+        if st.tie_errors is not None:
+            report.add(sec, "tie_errors", st.tie_errors)
         report.add(sec, "error_rate", st.error_rate, "probability")
         report.add(sec, "wilson_low", st.wilson_low, "probability")
         report.add(sec, "wilson_high", st.wilson_high, "probability")

@@ -45,15 +45,16 @@ loop needs no special handling of ``-inf`` marginals.
 
 Infeasibility
 -------------
-``E_mu[score]`` tends to the maximum of the linear functional over the
-polytope only as ``lam`` grows without bound.  If the multiplier reaches the
-cap while the expectation is still short of the threshold by more than
-``INFEASIBLE_SLACK``, the constraint set is declared empty and the value is
-the ``+inf`` sentinel (not an exception: infima over constrained families
-legitimately touch this boundary).  A transportation LP settles the
-question early: once the multiplier passes 64, and whenever a fit stalls
-while the bracket grows.  A stalled fit below a reachable threshold is a
-``SolverError``.
+A threshold above the maximum of ``E_mu[score]`` over the polytope cannot be
+met.  That maximum is a transportation linear program, which every active
+projection solves first (``_polytope_max``, by the numpy simplex that also
+solves the capacity master game).  A threshold above it by more than
+``INFEASIBLE_SLACK`` returns the ``+inf`` sentinel before any fit (not an
+exception: infima over constrained families legitimately touch this
+boundary).  ``E_mu[score]`` tends to the maximum only as ``lam`` grows
+without bound, so a threshold within the slack of it can still leave the
+multiplier at the cap short of the threshold; that is the sentinel too.  A
+fit that stalls is a ``SolverError``.
 """
 
 from __future__ import annotations
@@ -75,14 +76,12 @@ CONSTRAINT_TOL = 1e-8
 MAX_FIT_ITERS = 5000
 MAX_BISECTIONS = 120
 _SHIFT_FLOOR = -np.finfo(float).max
+# Smallest pivot entry, and reduced cost per unit of the largest cost, the simplex acts on.
+_PIVOT_TOL = 1e-13
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative fit fails to converge; ``residual`` is its last marginal mismatch."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """Raised when an iterative fit fails to converge."""
 
 
 @dataclass
@@ -104,31 +103,53 @@ class ProjectionResult:
     feasible: bool
 
 
+def _simplex(cols, rhs, cost, basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal ``y`` and prices of ``max cost.y  s.t.  cols y = rhs, y >= 0``.
+
+    Primal simplex with Bland's rule from the feasible ``basis`` (one column
+    per row, updated in place, so a caller can warm-start a later solve).
+    The prices are the dual solution of the final basis.
+    """
+    gain_tol = _PIVOT_TOL * max(1.0, np.abs(cost).max())
+    while True:
+        basic = cols[:, basis]
+        values = np.maximum(np.linalg.solve(basic, rhs), 0.0)
+        prices = np.linalg.solve(basic.T, cost[basis])
+        improving = np.flatnonzero(cost - prices @ cols > gain_tol)
+        if not improving.size:
+            break
+        entering = improving[0]
+        step = np.linalg.solve(basic, cols[:, entering])
+        rows = np.flatnonzero(step > _PIVOT_TOL)
+        ratios = values[rows] / step[rows]
+        tied = rows[ratios <= ratios.min()]
+        basis[min(tied, key=basis.__getitem__)] = entering
+    y = np.zeros(cols.shape[1])
+    y[basis] = values
+    return y, prices
+
+
 def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     """Maximum of ``E_mu[d]`` over joints with marginals (r, c) on the support.
 
-    A small transportation linear program; used to recognize unreachable
-    thresholds without chasing the multiplier to its cap.
+    The transportation LP (one column per cell, the implied last column sum
+    dropped) by ``_simplex`` from the north-west corner.  A cell off the
+    support costs less than ``d.min()`` by more than any cycle of support
+    cells can gain, so the optimum loads it only when the support holds no
+    coupling; the result is then ``inf``, which rules out no threshold.
     """
-    from scipy.optimize import linprog
-
     nx, ny = d.shape
-    idx = np.flatnonzero(support.ravel())
-    a_eq = np.zeros((nx + ny, idx.size))
-    for col, flat in enumerate(idx):
-        a, b = divmod(int(flat), ny)
-        a_eq[a, col] = 1.0
-        a_eq[nx + b, col] = 1.0
-    res = linprog(
-        -d.ravel()[idx],
-        A_eq=a_eq,
-        b_eq=np.concatenate([r, c]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
+    cols = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny))[:-1]])
+    penalty = d.min() - (1.0 + 2.0 * min(nx, ny) * (d.max() - d.min()))
+    cost = np.where(support, d, penalty).ravel()
+    # The north-west corner walks from cell (0, 0), stepping down at each row's
+    # end and right at each column's end, in the order of their cumulative mass.
+    down = np.argsort(np.concatenate([np.cumsum(r)[:-1], np.cumsum(c)[:-1]]), kind="stable") < nx - 1
+    basis = np.concatenate([[0], np.cumsum(down) * ny + np.cumsum(~down)]).tolist()
+    y, _ = _simplex(cols, np.concatenate([r, c[:-1]]), cost, basis)
+    if y[~support.ravel()].sum() > 1e-9:
         return math.inf
-    return float(-res.fun)
+    return float(d.ravel() @ y)
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -159,9 +180,7 @@ def _log_fit(log_kernel, log_r, log_c, r, c, u, v, marginal_tol, max_iters):
             )
             if resid <= marginal_tol:
                 return mu, u, v, it, resid
-    raise SolverError(
-        f"marginal fitting stalled: residual {resid:.3e} after {max_iters} iterations", resid
-    )
+    raise SolverError(f"marginal fitting stalled: residual {resid:.3e} after {max_iters} iterations")
 
 
 def kl_projection(
@@ -221,25 +240,7 @@ def kl_projection(
     rows, cols = r > 0.0, c > 0.0
     alive = np.ix_(rows, cols)
     b, d, r, c = b[alive], d[alive], r[rows], c[cols]
-    support = b > 0.0
-    with np.errstate(divide="ignore"):
-        log_b = np.log(b)
-    log_r = np.log(r)
-    log_c = np.log(c)
-
-    u = np.zeros_like(r)
-    v = np.zeros_like(c)
     total_fit_iters = 0
-
-    def fit(lam, u0, v0):
-        # The scaling slows down as the kernel concentrates; grow the budget.
-        nonlocal total_fit_iters
-        budget = MAX_FIT_ITERS + int(12.0 * lam)
-        mu, uu, vv, its, resid = _log_fit(
-            log_b + lam * d, log_r, log_c, r, c, u0, v0, MARGINAL_TOL, budget
-        )
-        total_fit_iters += its
-        return mu, float(np.sum(mu * d)), uu, vv, resid
 
     def infeasible(expect, resid):
         return ProjectionResult(
@@ -253,23 +254,35 @@ def kl_projection(
             feasible=False,
         )
 
+    reachable = _polytope_max(b > 0.0, r, c, d)
+    if threshold > reachable + INFEASIBLE_SLACK:
+        # The threshold exceeds the maximum of the functional over the polytope.
+        return infeasible(reachable, 0.0)
+
+    with np.errstate(divide="ignore"):
+        log_b = np.log(b)
+    log_r = np.log(r)
+    log_c = np.log(c)
+    u = np.zeros_like(r)
+    v = np.zeros_like(c)
+
+    def fit(lam, u0, v0):
+        # The scaling slows down as the kernel concentrates; grow the budget.
+        nonlocal total_fit_iters
+        budget = MAX_FIT_ITERS + int(12.0 * lam)
+        mu, uu, vv, its, resid = _log_fit(
+            log_b + lam * d, log_r, log_c, r, c, u0, v0, MARGINAL_TOL, budget
+        )
+        total_fit_iters += its
+        return mu, float(np.sum(mu * d)), uu, vv, resid
+
     # Bracket the active multiplier: expand until E(lam) clears the threshold.
     lo = 0.0
     hi = 1.0
     capped = False
-    reachable = None
     while True:
         hi = min(hi, LAMBDA_CAP)
-        try:
-            mu, expect, u, v, resid = fit(hi, u, v)
-        except SolverError as exc:
-            # The fit can stall while chasing an unreachable threshold: settle
-            # that with the transportation LP, and re-raise a genuine stall.
-            if reachable is None:
-                reachable = _polytope_max(support, r, c, d)
-            if threshold > reachable + INFEASIBLE_SLACK:
-                return infeasible(reachable, exc.residual)
-            raise
+        mu, expect, u, v, resid = fit(hi, u, v)
         if expect >= threshold:
             break
         lo = hi
@@ -277,15 +290,9 @@ def kl_projection(
             capped = True
             break
         hi *= 2.0
-        if hi > 64.0 and reachable is None:
-            # Chasing a threshold beyond the reachable maximum: settle it with
-            # the transportation LP before driving the kernel tropical.
-            reachable = _polytope_max(support, r, c, d)
-            if threshold > reachable + INFEASIBLE_SLACK:
-                return infeasible(reachable, resid)
 
     if capped and expect < threshold - INFEASIBLE_SLACK:
-        # The threshold exceeds the maximum of the functional over the polytope.
+        # Within the slack of the maximum, yet out of the capped multiplier's reach.
         return infeasible(expect, resid)
 
     # Bisection on the monotone map lam -> E(lam).

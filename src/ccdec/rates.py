@@ -42,7 +42,7 @@ from .probability import (
     mutual_information,
     xlogy,
 )
-from .projection import ProjectionResult, kl_projection
+from .projection import ProjectionResult, _simplex, kl_projection
 
 WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
@@ -52,8 +52,6 @@ CAPACITY_MAX_ITERATIONS = 100_000
 _METRIC_KIND = {"ml": "ml", "map": "map", "glrt": "ml", "gmap": "map"}
 # The decoder families, in report order.
 FAMILIES = tuple(_METRIC_KIND)
-# Smallest reduced cost and pivot entry the master simplex acts on.
-_PIVOT_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,32 +140,17 @@ def _game_simplex(cuts: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
 
     The entries of ``cuts`` are divergences, hence nonnegative, so
     ``A = cuts + 1`` is positive and the game ``A`` has a positive value.
-    Primal simplex with Bland's rule on ``max 1.y  s.t.  A^T y <= 1, y >= 0``:
-    the columns are the ``|X|`` slacks, then the cuts in order, and
-    ``basis`` (one column per row, updated in place) starts at the slacks.
-    Appending a cut appends a column, so the last optimal basis stays
-    feasible and warm-starts the next solve.  At the optimum ``y / sum y``
-    are the cut weights and the simplex prices ``x``, normalized, the input.
+    ``projection._simplex`` solves ``max 1.y  s.t.  A^T y <= 1, y >= 0`` in
+    equality form: the columns are the ``|X|`` slacks, then the cuts in
+    order, and ``basis`` (one column per row, updated in place) starts at
+    the slacks.  Appending a cut appends a column, so the last optimal basis
+    stays feasible and warm-starts the next solve.  At the optimum
+    ``y / sum y`` are the cut weights and the simplex prices ``x``,
+    normalized, the input.
     """
     nx = cuts.shape[1]
     cols = np.hstack([np.eye(nx), cuts.T + 1.0])
-    cost = np.repeat([0.0, 1.0], [nx, len(cuts)])
-    ones = np.ones(nx)
-    while True:
-        basic = cols[:, basis]
-        values = np.maximum(np.linalg.solve(basic, ones), 0.0)
-        prices = np.linalg.solve(basic.T, cost[basis])
-        improving = np.flatnonzero(cost - prices @ cols > _PIVOT_TOL)
-        if not improving.size:
-            break
-        entering = improving[0]
-        step = np.linalg.solve(basic, cols[:, entering])
-        rows = np.flatnonzero(step > _PIVOT_TOL)
-        ratios = values[rows] / step[rows]
-        tied = rows[ratios <= ratios.min()]
-        basis[min(tied, key=basis.__getitem__)] = entering
-    y = np.zeros(cols.shape[1])
-    y[basis] = values
+    y, prices = _simplex(cols, np.ones(nx), np.repeat([0.0, 1.0], [nx, len(cuts)]), basis)
     x = np.maximum(prices, 0.0)
     return y[nx:] / y[nx:].sum(), x / x.sum()
 
@@ -190,13 +173,14 @@ def compound_capacity(cset: CompoundSet, tol: float = 1e-7) -> CapacityResult:
     so the per-letter divergences ``g`` against any output distribution
     ``q`` give a plane ``P -> g . P`` lying above ``I(., W)``.  Each step
     adds one plane per channel, stacked as the rows of ``G``, and solves the
-    master game ``max_P min_j (G P)_j`` by a simplex warm-started from the
-    previous step's basis (``_game_simplex``); its optimal ``P`` is the next
-    query.  For any weights ``alpha`` on the planes,
-    ``C <= max_a (alpha G)(a)``; the game's optimal weights make this bound
-    tight, and it certifies the gap to the best query.  The loop stops when
-    the gap is at most ``tol``, when a query repeats, or after
-    ``CAPACITY_MAX_ITERATIONS`` master solves (the reported ``iterations``).
+    master game ``max_P min_j (G P)_j`` by the simplex that also settles
+    projection reachability, warm-started from the previous step's basis
+    (``_game_simplex``); its optimal ``P`` is the next query.  For any
+    weights ``alpha`` on the planes, ``C <= max_a (alpha G)(a)``; the game's
+    optimal weights make this bound tight, and it certifies the gap to the
+    best query.  The loop stops when the gap is at most ``tol``, when a query
+    repeats, or after ``CAPACITY_MAX_ITERATIONS`` master solves (the
+    reported ``iterations``).
 
     Planes are taken at the full-support point ``(p + eps/|X|) / (1 + eps)``
     rather than at the query ``p``: where ``p`` has zeros, ``q = p W`` may

@@ -221,12 +221,17 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 
 @dataclass
 class TrialStats:
-    """Error statistics for one channel of a compound set."""
+    """Error statistics for one channel of a compound set.
+
+    ``tie_errors`` is None in ensemble mode, whose draw does not say whether
+    the competitor that reached the true score tied it; ``mean_error_prob``
+    is None in codebook mode.
+    """
 
     channel_index: int
     trials: int
     errors: int
-    tie_errors: int
+    tie_errors: int | None
     error_rate: float
     wilson_low: float
     wilson_high: float
@@ -416,7 +421,7 @@ def estimate_error(
                 channel_index=ch_idx,
                 trials=trials,
                 errors=errors,
-                tie_errors=tie_errors,
+                tie_errors=tie_errors if method == "codebook" else None,
                 error_rate=errors / trials if trials else 0.0,
                 wilson_low=low,
                 wilson_high=high,

@@ -9,7 +9,7 @@ import ccdec.cli
 import ccdec.rates
 from ccdec.cli import main
 from ccdec.probability import mutual_information
-from ccdec.projection import INFEASIBLE_SLACK, MARGINAL_TOL, kl_projection
+from ccdec.projection import INFEASIBLE_SLACK, kl_projection
 from ccdec.scenario import BUILTIN_SCENARIOS
 
 LOG2 = math.log(2.0)
@@ -229,12 +229,12 @@ class TestAnalyzeComputesEachQuantityOnce:
         assert len(informations) <= len(BUILTIN_SCENARIOS[name]()["channels"])
 
 
-class TestStalledFitOnUnreachableThreshold:
-    """On this seeded set, one projection at the capacity input has a threshold
-    0.18 nats above the transportation-LP maximum, and its fit at multiplier
-    64 stalls before the bracket consults the LP."""
+class TestUnreachableThreshold:
+    """On this seeded set, 42 of the projections at the capacity input have a
+    threshold above the transportation-LP maximum (one by 0.18 nats); the LP
+    settles each before any fit."""
 
-    def test_stall_settles_as_infeasible(self, capsys, monkeypatch, tmp_path):
+    def test_settles_as_infeasible_before_any_fit(self, capsys, monkeypatch, tmp_path):
         rng = np.random.default_rng(1002)
         scenario = tmp_path / "dirichlet8.json"
         scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
@@ -248,12 +248,12 @@ class TestStalledFitOnUnreachableThreshold:
         monkeypatch.setattr(ccdec.rates, "kl_projection", spy)
         code, out = run(capsys, "analyze", "--scenario", str(scenario))
         assert code == 0
-        # Only a stalled fit leaves a residual above the fit tolerance.
-        stalled = [r for r in results_seen if r.marginal_residual > MARGINAL_TOL]
-        assert len(stalled) == 1
-        assert stalled[0].value == math.inf
-        assert not stalled[0].feasible
-        assert stalled[0].constraint_gap < -INFEASIBLE_SLACK
+        unreachable = [r for r in results_seen if not r.feasible]
+        assert len(unreachable) == 42
+        for r in unreachable:
+            assert r.value == math.inf
+            assert r.constraint_gap < -INFEASIBLE_SLACK
+            assert r.fit_iterations == 0
         res = results(out)
         for kind in ("ml", "map", "glrt", "gmap"):
             assert math.isfinite(res[f"rates_{kind}"]["minimum"]["value"])
@@ -336,6 +336,21 @@ class TestSimulate:
         res = results(out)
         got = [(res[c]["errors"]["value"], res[c]["tie_errors"]["value"]) for c in ("channel[0]", "channel[1]")]
         assert got == counts
+
+    @pytest.mark.parametrize("method,ties", [("codebook", 30), ("ensemble", None)])
+    def test_tie_errors_reported_only_where_counted(self, capsys, tmp_path, method, ties):
+        # every competitor ties the true codeword on a one-letter input
+        scenario = tmp_path / "one_letter.json"
+        scenario.write_text(json.dumps({"channels": [[[0.2, 0.3, 0.5]]], "input": [1.0]}))
+        code, out = run(
+            capsys,
+            "simulate", "--scenario", str(scenario), "--method", method, "--decoder", "mmi",
+            "--n", "8", "--rate", "0.3", "--trials", "30", "--seed", "3",
+        )
+        assert code == 0
+        channel = results(out)["channel[0]"]
+        assert channel["errors"]["value"] == 30
+        assert channel.get("tie_errors", {}).get("value") == ties
 
     @pytest.mark.parametrize(
         "flags,message",

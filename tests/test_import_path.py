@@ -1,8 +1,8 @@
-"""Which commands load scipy, each checked in a fresh interpreter.
+"""No command loads scipy, each checked in a fresh interpreter.
 
-scipy is imported only by the projection's infeasible-threshold LP
-(``projection._polytope_max``); ``compound_capacity`` solves its master game
-in numpy.  The test process itself has imported scipy through other test
+Both linear programs, the capacity master game and the projection's
+reachability LP, are solved by one numpy simplex, and scipy is only a test
+dependency.  The test process itself has imported scipy through other test
 modules, so every check runs in a subprocess.
 """
 
@@ -41,6 +41,18 @@ def run_child(*argv):
 
 
 SIM = ("simulate", "--scenario", "builtin:bsc-quarter", "--trials", "5", "--seed", "3")
+# Stands for the path of the seeded set written by the dirichlet_scenario fixture.
+DIRICHLET = "{dirichlet}"
+
+
+@pytest.fixture
+def dirichlet_scenario(tmp_path):
+    # The set of test_cli.py::TestUnreachableThreshold: 42 of its projections
+    # have an unreachable threshold, which the reachability LP settles.
+    rng = np.random.default_rng(1002)
+    scenario = tmp_path / "dirichlet8.json"
+    scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
+    return str(scenario)
 
 
 @pytest.mark.parametrize(
@@ -48,34 +60,28 @@ SIM = ("simulate", "--scenario", "builtin:bsc-quarter", "--trials", "5", "--seed
     [
         ((), None),
         (("vn", "counterexample"), 0),
+        (("vn", "sweep"), 0),
         (SIM + ("--method", "codebook"), 0),
         (SIM + ("--method", "ensemble"), 0),
         (("analyze", "--scenario", "builtin:bsc-quarter"), 0),
         (("analyze", "--scenario", "builtin:counterexample"), 0),
+        (("analyze", "--scenario", DIRICHLET), 0),
         (("capacity", "--scenario", "builtin:union-one-sided"), 0),
         (("one-sided", "--scenario", "builtin:union-one-sided"), 0),
     ],
     ids=[
         "import",
         "vn-counterexample",
+        "vn-sweep",
         "simulate-codebook",
         "simulate-ensemble",
         "analyze-bsc-quarter",
         "analyze-counterexample",
+        "analyze-dirichlet-unreachable",
         "capacity-union-one-sided",
         "one-sided-union-one-sided",
     ],
 )
-def test_no_scipy_loaded(argv, code):
+def test_no_scipy_loaded(argv, code, dirichlet_scenario):
+    argv = [dirichlet_scenario if arg == DIRICHLET else arg for arg in argv]
     assert run_child(*argv) == [code, []]
-
-
-def test_analyze_loads_the_lp_solver_on_demand(tmp_path):
-    # The set of test_cli.py::TestStalledFitOnUnreachableThreshold: one of its
-    # projections has an unreachable threshold, which the LP settles.
-    rng = np.random.default_rng(1002)
-    scenario = tmp_path / "dirichlet8.json"
-    scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
-    code, modules = run_child("analyze", "--scenario", str(scenario))
-    assert code == 0
-    assert "scipy.optimize" in modules

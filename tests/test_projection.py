@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import ccdec.projection
 from ccdec import Channel, Distribution, joint_of, kl_divergence, kl_projection
-from ccdec.projection import _logsumexp
+from ccdec.projection import _logsumexp, _polytope_max, _simplex
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 
@@ -71,12 +72,18 @@ class TestInfeasible:
         assert not res.feasible
         assert res.minimizer is None
 
-    def test_threshold_above_polytope_maximum(self):
+    def test_threshold_above_polytope_maximum(self, monkeypatch):
         # max of E_mu[d] over joints with uniform marginals is at x = 1/2: d diagonal-heavy
+        def no_fit(*args):
+            raise AssertionError("the reachability LP settles an unreachable threshold before any fit")
+
+        monkeypatch.setattr(ccdec.projection, "_log_fit", no_fit)
         mu0 = joint_of(Distribution.uniform(2), Channel.bsc(0.3))
         d = np.array([[1.0, 0.0], [0.0, 1.0]])
         res = kl_projection(mu0.product, mu0.x_marginal, mu0.y_marginal, d, 1.0 + 1e-3)
         assert res.value == math.inf
+        assert (res.fit_iterations, res.bisection_steps) == (0, 0)
+        assert res.constraint_gap == pytest.approx(-1e-3, abs=1e-15)
 
 
 class TestSolverContract:
@@ -186,3 +193,73 @@ class TestDeadLetters:
             assert full.value == pytest.approx(reduced.value, abs=1e-12)
             np.testing.assert_allclose(full.minimizer.matrix[:, kept], reduced.minimizer.matrix, atol=1e-12)
             assert np.all(full.minimizer.matrix[:, 1] == 0.0)
+
+
+def highs_polytope_max(support, r, c, d):
+    """``_polytope_max`` by scipy's HiGHS over the support cells; ``inf`` when the LP has no solution."""
+    from scipy.optimize import linprog
+
+    nx, ny = d.shape
+    idx = np.flatnonzero(support.ravel())
+    if not idx.size:
+        return math.inf  # linprog rejects an LP without variables
+    a_eq = np.zeros((nx + ny, idx.size))
+    a_eq[idx // ny, np.arange(idx.size)] = 1.0
+    a_eq[nx + idx % ny, np.arange(idx.size)] = 1.0
+    res = linprog(-d.ravel()[idx], A_eq=a_eq, b_eq=np.concatenate([r, c]), bounds=(0.0, None), method="highs")
+    return float(-res.fun) if res.success else math.inf
+
+
+def random_transport_lp(rng, k):
+    nx, ny = (int(n) for n in rng.integers(1, 7, size=2))
+    if k % 3 == 0:
+        # marginals in tenths: equal partial sums make degenerate corners
+        r, c = rng.multinomial(10, np.ones(nx) / nx) / 10, rng.multinomial(10, np.ones(ny) / ny) / 10
+    else:
+        r, c = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+    if k % 4 == 1:
+        d = rng.integers(-2, 3, size=(nx, ny)).astype(float)
+    else:
+        d = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    support = rng.random((nx, ny)) < 0.7 if k % 2 else np.ones((nx, ny), dtype=bool)
+    return support, r, c, d
+
+
+class TestPolytopeMax:
+    def test_matches_highs(self):
+        rng = np.random.default_rng(5)
+        for k in range(2000):
+            support, r, c, d = random_transport_lp(rng, k)
+            got, want = _polytope_max(support, r, c, d), highs_polytope_max(support, r, c, d)
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_support_without_a_coupling_gives_inf(self):
+        r, c, d = np.array([0.5, 0.5]), np.array([0.3, 0.7]), np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert _polytope_max(np.zeros((2, 2), dtype=bool), r, c, d) == math.inf
+        # row 0 can reach only column 0, which holds less than row 0's mass
+        support = np.array([[True, False], [True, True]])
+        assert _polytope_max(support, r, c, d) == math.inf
+        assert highs_polytope_max(support, r, c, d) == math.inf
+
+
+class TestSimplex:
+    def test_integer_degenerate_instances_reach_a_certified_optimum(self):
+        # max cost.y s.t. [I A] y = b, y >= 0 from the slack basis; zeros in b
+        # and small integers everywhere make degenerate pivots common.
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            m, n = (int(k) for k in rng.integers(1, 6, size=2))
+            a = rng.integers(0, 3, size=(m, n)).astype(float)
+            a[rng.integers(m, size=n), np.arange(n)] += 1.0  # bounded: each column has a positive entry
+            cols = np.hstack([np.eye(m), a])
+            rhs = rng.integers(0, 3, size=m).astype(float)
+            cost = np.concatenate([np.zeros(m), rng.integers(-2, 4, size=n).astype(float)])
+            y, prices = _simplex(cols, rhs, cost, list(range(m)))
+            assert y.min() >= 0.0
+            np.testing.assert_allclose(cols @ y, rhs, atol=1e-12)
+            assert (prices @ cols - cost).min() >= -1e-12
+            assert prices @ rhs == pytest.approx(cost @ y, abs=1e-12)
+

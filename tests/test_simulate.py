@@ -375,6 +375,9 @@ class TestEstimateError:
         assert stats[0].errors == 5
         if method == "ensemble":
             assert stats[0].mean_error_prob == 1.0
+            assert stats[0].tie_errors is None
+        else:
+            assert stats[0].tie_errors == 5
 
     def test_codeword_count_past_float_range(self):
         # n * rate = 1100.8 bits: 2^(n * rate) overflows a float; M is 2^0.8 as a float times 2^1100
