@@ -48,8 +48,9 @@ Infeasibility
 A threshold above the maximum of ``E_mu[score]`` over the polytope cannot be
 met.  That maximum is a transportation linear program, which every active
 projection solves first (``_polytope_max``, by the numpy simplex that also
-solves the capacity master game).  A threshold above it by more than
-``INFEASIBLE_SLACK`` returns the ``+inf`` sentinel before any fit (not an
+solves the capacity master game); it is ``-inf`` when the support of
+``base`` holds no joint with the required marginals.  A threshold above it
+by more than ``INFEASIBLE_SLACK`` returns the ``+inf`` sentinel before any fit (not an
 exception: infima over constrained families legitimately touch this
 boundary).  ``E_mu[score]`` tends to the maximum only as ``lam`` grows
 without bound, so a threshold within the slack of it can still leave the
@@ -69,9 +70,9 @@ from .probability import SUPPORT_FLOOR, Distribution, Joint, _values
 LAMBDA_CAP = 1e4
 INFEASIBLE_SLACK = 1e-6
 # Largest marginal mismatch a fit may return, and the expectation tolerance
-# of the bisection (capped at 1e-10).  Read at each call.
+# of the bisection.  Read at each call.
 MARGINAL_TOL = 1e-10
-CONSTRAINT_TOL = 1e-8
+CONSTRAINT_TOL = 1e-10
 # Fit budget at lam = 0 (it grows by 12 per unit of lam) and bisection cap.
 MAX_FIT_ITERS = 5000
 MAX_BISECTIONS = 120
@@ -136,7 +137,7 @@ def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarr
     dropped) by ``_simplex`` from the north-west corner.  A cell off the
     support costs less than ``d.min()`` by more than any cycle of support
     cells can gain, so the optimum loads it only when the support holds no
-    coupling; the result is then ``inf``, which rules out no threshold.
+    coupling; the polytope is then empty and its maximum ``-inf``.
     """
     nx, ny = d.shape
     cols = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny))[:-1]])
@@ -148,7 +149,7 @@ def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarr
     basis = np.concatenate([[0], np.cumsum(down) * ny + np.cumsum(~down)]).tolist()
     y, _ = _simplex(cols, np.concatenate([r, c[:-1]]), cost, basis)
     if y[~support.ravel()].sum() > 1e-9:
-        return math.inf
+        return -math.inf
     return float(d.ravel() @ y)
 
 
@@ -299,9 +300,8 @@ def kl_projection(
     steps = 0
     lam = hi
     if not capped:
-        target_tol = min(CONSTRAINT_TOL, 1e-10)
         for steps in range(1, MAX_BISECTIONS + 1):
-            if abs(expect - threshold) <= target_tol or hi - lo <= 1e-15 * max(1.0, hi):
+            if abs(expect - threshold) <= CONSTRAINT_TOL or hi - lo <= 1e-15 * max(1.0, hi):
                 break
             lam = 0.5 * (lo + hi)
             mu, expect, u, v, resid = fit(lam, u, v)

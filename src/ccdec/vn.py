@@ -14,6 +14,8 @@ Writing ``Lbar(b) = sum_a P_X(a) L(a,b)`` for the output average and
 log-likelihood of direction ``L1`` while the truth is ``L0`` scales to the
 squared norm of the projection of ``Ltil0`` onto ``Ltil1`` (zero when the
 inner product is negative).  All limits here are normalized by ``2 / e^2``.
+Every local quantity is read off two Gram matrices of the directions in
+play, raw ``<L_k, L_j>`` and centered ``<Ltil_k, Ltil_j>``.
 
 Closed forms for the generalized likelihood-ratio and generalized MAP
 decoders follow from the same projection picture, through one case-rate
@@ -33,13 +35,12 @@ their limits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import Channel, Distribution, Joint, _values, joint_of, kl_divergence
+from .probability import Channel, Distribution, _values, joint_of, kl_divergence
 from .rates import (
     WORST_TIE_TOL,
     Metric,
@@ -124,32 +125,47 @@ class CenteredDirection:
         return inner(self.centered, other.centered, self.input_dist, self.noise)
 
 
-def center(direction: Direction, input_dist: Distribution) -> CenteredDirection:
-    """Split a direction into output average plus centered remainder."""
-    v = direction.values
-    if input_dist.size != v.shape[0]:
-        raise ValueError("input distribution size must match the direction rows")
-    avg = input_dist.probs @ v
-    til = v - avg[None, :]
-    raw = norm_sq(v, input_dist, direction.noise)
-    avg_sq = float(np.sum(direction.noise.probs * avg * avg))
-    return CenteredDirection(
-        centered=til,
-        output_avg=avg,
-        input_dist=input_dist,
-        noise=direction.noise,
-        raw_norm_sq=raw,
-        avg_norm_sq=avg_sq,
-        centered_norm_sq=raw - avg_sq,
-    )
-
-
 def _shared_noise(dirs) -> Distribution:
     """The noise distribution of ``dirs[0]``, which every other direction must share."""
     noise = dirs[0].noise
     if any(not np.array_equal(d.noise.probs, noise.probs) for d in dirs[1:]):
         raise ValueError("all directions must share the noise distribution")
     return noise
+
+
+def _gram(dirs, input_dist: Distribution):
+    """Output averages, centered parts, and the raw and centered Gram matrices of ``dirs``.
+
+    The Grams hold ``<L_k, L_j>`` and ``<Ltil_k, Ltil_j>``.  The centered one
+    is summed from the centered parts, so its diagonal adds nonnegative terms
+    and no squared norm comes out as a negative roundoff.  Each centered row
+    ``Ltil(a) = sum_a' P_X(a') (L(a) - L(a'))`` is averaged from row
+    differences, so an input-independent direction centers to exactly zero
+    even when ``P_X`` sums to one only up to roundoff.
+    """
+    noise = _shared_noise(dirs)
+    if any(d.nx != input_dist.size for d in dirs):
+        raise ValueError("input distribution size must match the direction rows")
+    v = np.stack([d.values for d in dirs])
+    avg = input_dist.probs @ v
+    til = input_dist.probs @ (v[:, :, None] - v[:, None])
+    w = np.outer(input_dist.probs, noise.probs).ravel()
+    raw, cen = v.reshape(len(dirs), -1), til.reshape(len(dirs), -1)
+    return avg, til, (raw * w) @ raw.T, (cen * w) @ cen.T
+
+
+def center(direction: Direction, input_dist: Distribution) -> CenteredDirection:
+    """Split a direction into output average plus centered remainder."""
+    avg, til, g, gt = _gram((direction,), input_dist)
+    return CenteredDirection(
+        centered=til[0],
+        output_avg=avg[0],
+        input_dist=input_dist,
+        noise=direction.noise,
+        raw_norm_sq=float(g[0, 0]),
+        avg_norm_sq=float(np.sum(direction.noise.probs * avg[0] * avg[0])),
+        centered_norm_sq=float(gt[0, 0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -185,16 +201,11 @@ class DirectionSet:
 
 def vn_mismatched_rate(true_dir: Direction, metric_dir: Direction, input_dist: Distribution) -> float:
     """Projection rate ``<Ltil0, Ltil1>^2 / |Ltil1|^2`` (zero on a negative inner product)."""
-    _shared_noise((true_dir, metric_dir))
-    c0 = center(true_dir, input_dist)
-    c1 = center(metric_dir, input_dist)
-    denom = c1.centered_norm_sq
-    if denom <= 0.0:
+    *_, gt = _gram((true_dir, metric_dir), input_dist)
+    ip, denom = gt[0, 1], gt[1, 1]
+    if denom <= 0.0 or ip < 0.0:
         return 0.0
-    ip = c0.inner(c1)
-    if ip < 0.0:
-        return 0.0
-    return ip * ip / denom
+    return float(ip * ip / denom)
 
 
 @dataclass
@@ -208,9 +219,8 @@ class VnCapacityResult:
 
 def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution) -> VnCapacityResult:
     """Minimum centered squared norm over the set, with the worst direction."""
-    norms = np.array(
-        [center(d, input_dist).centered_norm_sq for d in dset.directions]
-    )
+    *_, gt = _gram(dset.directions, input_dist)
+    norms = gt.diagonal().copy()
     idx, tied = min_with_ties(norms, WORST_TIE_TOL)
     return VnCapacityResult(
         value=float(norms[idx]),
@@ -225,31 +235,19 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution) -> OneSidedVer
     """Check ``|Ltil0|^2 - |LtilS|^2 - |Ltil0 - LtilS|^2 >= 0`` for every member.
 
     The local limit of the divergence split, judged by ``one_sided_verdict``.
-    Equivalent to requiring a nonnegative inner product with the worst
-    direction whose projection dominates the worst norm; both forms are
-    evaluated and must agree.
+    Expanding the last norm gives the margin ``2 (<Ltil0, LtilS> - |LtilS|^2)``,
+    two entries of the centered Gram: a nonnegative inner product with the
+    worst direction whose projection dominates the worst norm.
     """
-    cents = [center(d, input_dist) for d in dset.directions]
-
-    def margin(k: int, s: int) -> float:
-        c0, cs = cents[k], cents[s]
-        diff = norm_sq(c0.centered - cs.centered, input_dist, dset.noise)
-        m = c0.centered_norm_sq - cs.centered_norm_sq - diff
-        # Cross-check via the projection form: <L0,LS> >= 0 and
-        # <L0,LS>^2 / |LS|^2 >= |LS|^2.  Identical up to roundoff.
-        alt = 2.0 * (c0.inner(cs) - cs.centered_norm_sq)
-        if abs(alt - m) > 1e-8 * max(1.0, abs(m)):
-            raise AssertionError("one-sided check forms disagree beyond roundoff")
-        return m
-
-    return one_sided_verdict(np.array([c.centered_norm_sq for c in cents]), margin, "direction")
+    *_, gt = _gram(dset.directions, input_dist)
+    return one_sided_verdict(gt.diagonal(), lambda k, s: 2.0 * float(gt[k, s] - gt[s, s]), "direction")
 
 
-def _case_rate(scores: np.ndarray, lifts, cent_norms) -> float:
+def _case_rate(scores: np.ndarray, lift: np.ndarray, cent_norms: np.ndarray) -> float:
     """Very-noisy rate of a generalized decoder: the minimum of its one-metric rates.
 
     In the case ``w`` of the best case score, metric ``k`` has the threshold
-    ``tau_k = scores[w] + lifts[0][k] + lifts[1][k] + ...`` and the rate
+    ``tau_k = scores[w] + lift[k]`` and the rate
     ``tau_k^2 / |Ltil_k|^2`` (0 if ``tau_k <= 0``, inf if the norm is 0).
     Ties on the case boundary are resolved adversarially: every tied case
     counts.
@@ -258,8 +256,7 @@ def _case_rate(scores: np.ndarray, lifts, cent_norms) -> float:
     winners = np.flatnonzero(scores >= smax - _CASE_TIE_TOL * max(1.0, abs(smax)))
     rates = []
     for w in winners:
-        taus = functools.reduce(np.add, lifts, float(scores[w]))
-        for tau, den in zip(taus, cent_norms):
+        for tau, den in zip(scores[w] + lift, cent_norms):
             rates.append(0.0 if tau <= 0.0 else math.inf if den <= 0.0 else tau * tau / den)
     return float(min(rates))
 
@@ -274,13 +271,10 @@ def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_glrt_rate: need at least one metric direction")
-    noise = _shared_noise([true_dir, *worsts])
-    c0 = center(true_dir, input_dist)
-    cs = [center(d, input_dist) for d in worsts]
-    half_raw = np.array([0.5 * norm_sq(d.values, input_dist, noise) for d in worsts])
-    scores = np.array([inner(true_dir.values, d.values, input_dist, noise) for d in worsts]) - half_raw
-    bar_ips = np.array([np.sum(noise.probs * c0.output_avg * c.output_avg) for c in cs])
-    return _case_rate(scores, (half_raw, -bar_ips), [c.centered_norm_sq for c in cs])
+    *_, g, gt = _gram((true_dir, *worsts), input_dist)
+    half_raw = 0.5 * g.diagonal()[1:]
+    bar_ips = g[0, 1:] - gt[0, 1:]
+    return _case_rate(g[0, 1:] - half_raw, half_raw - bar_ips, gt.diagonal()[1:])
 
 
 def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float:
@@ -294,12 +288,9 @@ def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_gmap_rate: need at least one metric direction")
-    _shared_noise([true_dir, *worsts])
-    c0 = center(true_dir, input_dist)
-    cs = [center(d, input_dist) for d in worsts]
-    half_cent = np.array([0.5 * c.centered_norm_sq for c in cs])
-    scores = np.array([c0.inner(c) for c in cs]) - half_cent
-    return _case_rate(scores, (half_cent,), [c.centered_norm_sq for c in cs])
+    *_, gt = _gram((true_dir, *worsts), input_dist)
+    half_cent = 0.5 * gt.diagonal()[1:]
+    return _case_rate(gt[0, 1:] - half_cent, half_cent, gt.diagonal()[1:])
 
 
 def embed(direction: Direction, eps: float) -> Channel:
@@ -316,10 +307,6 @@ def embed(direction: Direction, eps: float) -> Channel:
         )
     m = direction.noise.probs[None, :] * factors
     return Channel(m / m.sum(axis=1, keepdims=True))
-
-
-def embedded_joint(direction: Direction, input_dist: Distribution, eps: float) -> Joint:
-    return joint_of(input_dist, embed(direction, eps))
 
 
 @dataclass
@@ -369,25 +356,19 @@ def expected_log_gap_table(
     tends to ``2 [ (<Li,Lj> - |Lj|^2/2) - (<Lk,Ll> - |Ll|^2/2) ]``.
     """
     di, dj, dk, dl = dirs
-    noise = di.noise
-    avg_i = input_dist.probs @ di.values
-    avg_k = input_dist.probs @ dk.values
-    if np.abs(avg_i - avg_k).max() > 1e-9:
+    avg, _, g, _ = _gram(dirs, input_dist)
+    if np.abs(avg[0] - avg[2]).max() > 1e-9:
         raise ValueError("first and third directions must share the input-averaged row")
 
-    def half_score(a: Direction, b: Direction) -> float:
-        return inner(a.values, b.values, input_dist, noise) - 0.5 * norm_sq(
-            b.values, input_dist, noise
-        )
-
     def exact_at(eps):
-        mu_i = embedded_joint(di, input_dist, eps).matrix
-        mu_k = embedded_joint(dk, input_dist, eps).matrix
+        mu_i = joint_of(input_dist, embed(di, eps)).matrix
+        mu_k = joint_of(input_dist, embed(dk, eps)).matrix
         log_wj = np.log(embed(dj, eps).matrix)
         log_wl = np.log(embed(dl, eps).matrix)
         return float(np.sum(mu_i * log_wj)) - float(np.sum(mu_k * log_wl))
 
-    return _gap_rows(exact_at, 2.0 * (half_score(di, dj) - half_score(dk, dl)), eps_list)
+    limit = 2.0 * ((g[0, 1] - 0.5 * g[1, 1]) - (g[2, 3] - 0.5 * g[3, 3]))
+    return _gap_rows(exact_at, float(limit), eps_list)
 
 
 def mismatched_rate_gap_table(
@@ -440,13 +421,13 @@ def blind_polytope_rate(metric_dirs, dset: DirectionSet, input_dist: Distributio
     metric_dirs = list(metric_dirs)
     if not metric_dirs:
         raise ValueError("blind_polytope_rate: need at least one metric direction")
-    if any(center(u, input_dist).centered_norm_sq <= 0.0 for u in metric_dirs):
+    k = dset.size
+    *_, gt = _gram((*dset.directions, *metric_dirs), input_dist)
+    norms = gt.diagonal()
+    if norms[k:].min() <= 0.0:
         raise ValueError("blind metric directions must have nonzero centered part")
-    rates = [
-        max(vn_mismatched_rate(d, u, input_dist) for u in metric_dirs)
-        for d in dset.directions
-    ]
+    rates = (np.maximum(gt[:k, k:], 0.0) ** 2 / norms[k:]).max(axis=1)
     arg = int(np.argmin(rates))
-    cap = vn_compound_capacity(dset, input_dist).value
-    ratio = math.inf if cap <= 0.0 else rates[arg] / cap
-    return BlindPolytopeResult(value=rates[arg], capacity=cap, ratio=ratio, limiting_index=arg)
+    value, cap = float(rates[arg]), float(norms[:k].min())
+    ratio = math.inf if cap <= 0.0 else value / cap
+    return BlindPolytopeResult(value=value, capacity=cap, ratio=ratio, limiting_index=arg)

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 import ccdec.projection
-from ccdec import Channel, Distribution, joint_of, kl_divergence, kl_projection
+from ccdec import Channel, Distribution, Joint, joint_of, kl_divergence, kl_projection
 from ccdec.projection import _logsumexp, _polytope_max, _simplex
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
@@ -72,18 +73,32 @@ class TestInfeasible:
         assert not res.feasible
         assert res.minimizer is None
 
-    def test_threshold_above_polytope_maximum(self, monkeypatch):
-        # max of E_mu[d] over joints with uniform marginals is at x = 1/2: d diagonal-heavy
-        def no_fit(*args):
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def fail(*args):
             raise AssertionError("the reachability LP settles an unreachable threshold before any fit")
 
-        monkeypatch.setattr(ccdec.projection, "_log_fit", no_fit)
+        monkeypatch.setattr(ccdec.projection, "_log_fit", fail)
+
+    def test_threshold_above_polytope_maximum(self, no_fit):
+        # max of E_mu[d] over joints with uniform marginals is at x = 1/2: d diagonal-heavy
         mu0 = joint_of(Distribution.uniform(2), Channel.bsc(0.3))
         d = np.array([[1.0, 0.0], [0.0, 1.0]])
         res = kl_projection(mu0.product, mu0.x_marginal, mu0.y_marginal, d, 1.0 + 1e-3)
         assert res.value == math.inf
         assert (res.fit_iterations, res.bisection_steps) == (0, 0)
         assert res.constraint_gap == pytest.approx(-1e-3, abs=1e-15)
+
+    def test_base_support_without_a_coupling(self, no_fit):
+        # every joint on the base's support has output marginal (1, 0), never
+        # the uniform one: the constraint set is empty for any threshold
+        uniform = Distribution.uniform(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kl_projection(Joint(np.array([[0.5, 0.0], [0.5, 0.0]])), uniform, uniform, np.eye(2), 0.6)
+        assert (res.value, res.feasible, res.minimizer) == (math.inf, False, None)
+        assert (res.fit_iterations, res.bisection_steps) == (0, 0)
+        assert res.constraint_gap == -math.inf
 
 
 class TestSolverContract:
@@ -196,18 +211,21 @@ class TestDeadLetters:
 
 
 def highs_polytope_max(support, r, c, d):
-    """``_polytope_max`` by scipy's HiGHS over the support cells; ``inf`` when the LP has no solution."""
+    """``_polytope_max`` by scipy's HiGHS over the support cells; ``-inf`` when the LP is infeasible."""
     from scipy.optimize import linprog
 
     nx, ny = d.shape
     idx = np.flatnonzero(support.ravel())
     if not idx.size:
-        return math.inf  # linprog rejects an LP without variables
+        return -math.inf  # linprog rejects an LP without variables; the marginals need mass
     a_eq = np.zeros((nx + ny, idx.size))
     a_eq[idx // ny, np.arange(idx.size)] = 1.0
     a_eq[nx + idx % ny, np.arange(idx.size)] = 1.0
     res = linprog(-d.ravel()[idx], A_eq=a_eq, b_eq=np.concatenate([r, c]), bounds=(0.0, None), method="highs")
-    return float(-res.fun) if res.success else math.inf
+    if res.status == 2:
+        return -math.inf
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 def random_transport_lp(rng, k):
@@ -228,21 +246,23 @@ def random_transport_lp(rng, k):
 class TestPolytopeMax:
     def test_matches_highs(self):
         rng = np.random.default_rng(5)
+        infeasible = 0
         for k in range(2000):
             support, r, c, d = random_transport_lp(rng, k)
             got, want = _polytope_max(support, r, c, d), highs_polytope_max(support, r, c, d)
-            if math.isinf(want):
-                assert got == math.inf
-            else:
+            assert (got == -math.inf) == (want == -math.inf)
+            if math.isfinite(want):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            infeasible += want == -math.inf
+        assert infeasible > 0
 
-    def test_support_without_a_coupling_gives_inf(self):
+    def test_support_without_a_coupling_gives_minus_inf(self):
         r, c, d = np.array([0.5, 0.5]), np.array([0.3, 0.7]), np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert _polytope_max(np.zeros((2, 2), dtype=bool), r, c, d) == math.inf
+        assert _polytope_max(np.zeros((2, 2), dtype=bool), r, c, d) == -math.inf
         # row 0 can reach only column 0, which holds less than row 0's mass
         support = np.array([[True, False], [True, True]])
-        assert _polytope_max(support, r, c, d) == math.inf
-        assert highs_polytope_max(support, r, c, d) == math.inf
+        assert _polytope_max(support, r, c, d) == -math.inf
+        assert highs_polytope_max(support, r, c, d) == -math.inf
 
 
 class TestSimplex:

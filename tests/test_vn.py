@@ -12,8 +12,10 @@ from ccdec import (
     DirectionSet,
     Distribution,
     blind_polytope_rate,
+    build_metrics,
     center,
     embed,
+    generalized_rate,
     inner,
     is_one_sided,
     mutual_information,
@@ -193,6 +195,26 @@ class TestVnOneSided:
         assert "not unique" in verdict.reason
 
 
+    def test_margin_is_the_expanded_divergence_split(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(200):
+            nx, ny = (int(n) for n in rng.integers(2, 5, size=2))
+            noise = Distribution(rng.dirichlet(np.ones(ny)))
+            p = Distribution(rng.dirichlet(np.ones(nx)))
+            dset = DirectionSet(tuple(random_direction(rng, nx, noise) for _ in range(rng.integers(1, 6))))
+            verdict = vn_is_one_sided(dset, p)
+            if verdict.worst_index is None:
+                continue
+            cs = center(dset.directions[verdict.worst_index], p)
+            for k in np.flatnonzero(np.isfinite(verdict.margins)):
+                c0 = center(dset.directions[k], p)
+                split = c0.centered_norm_sq - cs.centered_norm_sq - norm_sq(c0.centered - cs.centered, p, noise)
+                assert verdict.margins[k] == pytest.approx(split, abs=1e-12)
+                checked += 1
+        assert checked > 200
+
+
 class TestOneSidedLifting:
     """The local margin is the limit of the global divergence-split margin."""
 
@@ -315,6 +337,29 @@ class TestGmapRate:
                 center(l_other, UNIFORM).centered_norm_sq,
             )
             assert rate >= cap - 1e-9
+
+
+class TestFlatDirection:
+    """An input-independent direction centers to exactly zero, and so do the rates it limits."""
+
+    NOISE = Distribution(np.array([0.3, 0.7]))
+    P = Distribution(np.array([0.2, 0.8]))
+    FLAT = Direction(np.array([[0.7, -0.3], [0.7, -0.3]]), NOISE)
+    OTHER = Direction(np.array([[1.0, -3.0 / 7.0], [-1.0, 3.0 / 7.0]]), NOISE)
+
+    def test_centered_norm_and_capacity_are_zero(self):
+        assert center(self.FLAT, self.P).centered_norm_sq == 0.0
+        cap = vn_compound_capacity(DirectionSet((self.FLAT, self.OTHER)), self.P)
+        assert (cap.value, cap.worst_index) == (0.0, 0)
+        assert cap.norms.min() >= 0.0
+
+    @pytest.mark.parametrize("kind, local", [("ml", vn_glrt_rate), ("map", vn_gmap_rate)], ids=["glrt", "gmap"])
+    def test_rates_are_zero_like_their_global_twin(self, kind, local):
+        for true_dir in (self.FLAT, self.OTHER):
+            assert local(true_dir, [self.FLAT], self.P) == 0.0
+            for eps in (0.05, 0.01):
+                metrics = build_metrics(kind, [embed(self.FLAT, eps)], self.P)
+                assert generalized_rate(self.P, embed(true_dir, eps), metrics) == 0.0
 
 
 class TestSharedNoise:
