@@ -37,7 +37,7 @@ from .rates import (
     SetAnalysis,
     compound_capacity,
     decoder_rates,
-    is_one_sided,
+    is_one_sided,  # no command calls these two; perfbench/spans.py binds their names here
     one_sided_cover,
     worst_metrics,
     worst_per_block,
@@ -223,14 +223,14 @@ def cmd_one_sided(args) -> int:
     scenario = _load(args, "channels")
     cset = scenario.channels
     p_x, code = _input(scenario, args.tol)
-    verdict = is_one_sided(cset, p_x)
-    cover = one_sided_cover(cset, p_x)
+    analysis = SetAnalysis(cset, p_x)
+    verdict = analysis.verdict()
     report = Report(meta={"command": "one-sided", "scenario": scenario.name, "units": "nats"})
     report.add("one_sided", "whole_set", verdict.one_sided)
     report.add("one_sided", "reason", verdict.reason)
     if verdict.witness is not None:
         report.add("one_sided", "witness", verdict.witness)
-    _add_cover(report, cover)
+    _add_cover(report, analysis.cover)
     _emit(report, args)
     return code
 

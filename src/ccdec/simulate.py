@@ -28,10 +28,14 @@ a fresh random codebook per trial):
   then integrates the remaining ``M - 1`` i.i.d. competitors analytically.
   Conditioned on the received word, the competitor's joint type has
   independent per-output-symbol multinomial columns, so the exceedance
-  probability of the true score is an exact finite sum.  A Bernoulli draw
-  with the resulting conditional error probability keeps the trial counts
-  honest, and the running mean of the conditional probabilities is also
-  recorded (it resolves error probabilities far below 1/trials).
+  probability of the true score is an exact finite sum.  That sum runs over
+  a grid of competitor joint types that depends on the received word only
+  through its output type, so the competitors are integrated once per
+  output type per channel, and each trial reads its tail mass off its
+  type's grid.  A Bernoulli draw with the resulting conditional error
+  probability keeps the trial counts honest, and the running mean of the
+  conditional probabilities is also recorded (it resolves error
+  probabilities far below 1/trials).
 
 Ties are scored pessimistically: a competitor matching the true score
 counts as an error.
@@ -55,7 +59,7 @@ DECODERS = FAMILIES + ("mmi",)
 # Most codewords the codebook method materializes.
 CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
-_TYPE_BUDGET = 2_000_000  # joint types one ensemble trial may enumerate
+_TYPE_BUDGET = 2_000_000  # joint types one output type's competitor grid may hold
 _DECIMAL_LIMIT = 10**4300  # Python's default int-to-str conversion limit is 4300 digits
 
 # Scores within this relative band of the maximum count as tied.  Makes the
@@ -275,15 +279,18 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
-    """Exact probability that an i.i.d. competitor scores at least ``threshold``.
+def _competitor_grid(y_counts, input_dist, spec, n) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint type an i.i.d. competitor can have with a received word: (probability, score) grids.
 
     Given the received word, the competitor's joint type is one input-count
     column per output letter b, a multinomial of ``n_b`` draws from the input
     distribution, independently across letters.  Every joint type is one
     point of the grid spanned by the per-letter columns.  Every count lies
     in ``0..n``, so the multinomial coefficients come from one table of
-    ``log k!`` and the MMI score from one table of ``k log k``.
+    ``log k!`` and the MMI score from one table of ``k log k``.  The grids
+    depend on the received word only through its output counts ``y_counts``;
+    the probability that a competitor scores at least ``threshold`` is
+    ``prob[score >= threshold].sum()``.
     """
     nx = input_dist.size
     sizes = [math.comb(int(n_b) + nx - 1, nx - 1) for n_b in y_counts]
@@ -309,7 +316,7 @@ def _competitor_exceedance(y_counts, input_dist, spec, n, threshold) -> float:
             for d in spec.metrics
         )
         score = functools.reduce(np.maximum, per_metric)
-    return float(np.exp(logprob[score >= threshold]).sum())
+    return np.exp(logprob), score
 
 
 def _any_competitor_reaches(q: float, num_codewords: int) -> float:
@@ -390,8 +397,8 @@ def estimate_error(
         errors = 0
         tie_errors = 0
         prob_sum = 0.0
-        for t in range(trials):
-            if method == "codebook":
+        if method == "codebook":
+            for t in range(trials):
                 cb = generate_codebook(input_dist, n, num_codewords, [seed, ch_idx, t, 0])
                 msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(cb.num_codewords))
                 y = transmit(channel, cb.words[msg], [seed, ch_idx, t, 2])
@@ -404,14 +411,24 @@ def estimate_error(
                     tie_errors += 1
                 if s_true < cut or tied:
                     errors += 1
-            else:
+        else:
+            # Draw every trial's true codeword and output, grouping the trials by output type.
+            cuts = np.empty(trials)
+            by_type: dict[tuple[int, ...], list[int]] = {}
+            for t in range(trials):
                 x = _draw_symbols(input_dist.probs, n, [seed, ch_idx, t, 0])
                 y = transmit(channel, x, [seed, ch_idx, t, 2])
-                s_true = score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]
-                q = _competitor_exceedance(
-                    np.bincount(y, minlength=ny), input_dist, spec, n, _tie_threshold(float(s_true))
-                )
-                e = _any_competitor_reaches(q, num_codewords)
+                cuts[t] = _tie_threshold(float(score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]))
+                by_type.setdefault(tuple(np.bincount(y, minlength=ny).tolist()), []).append(t)
+            # Build each output type's competitor grid once; its trials read their tail mass off it.
+            q = np.empty(trials)
+            for y_counts, members in by_type.items():
+                prob, score = _competitor_grid(np.array(y_counts), input_dist, spec, n)
+                for t in members:
+                    q[t] = prob[score >= cuts[t]].sum()
+                del prob, score  # one grid alive at a time
+            for t in range(trials):
+                e = _any_competitor_reaches(float(q[t]), num_codewords)
                 prob_sum += e
                 if np.random.default_rng([seed, ch_idx, t, 3]).random() < e:
                     errors += 1

@@ -10,7 +10,7 @@ import ccdec.rates
 from ccdec.cli import main
 from ccdec.probability import mutual_information
 from ccdec.projection import INFEASIBLE_SLACK, kl_projection
-from ccdec.scenario import BUILTIN_SCENARIOS
+from ccdec.scenario import BUILTIN_SCENARIOS, load_scenario
 
 LOG2 = math.log(2.0)
 
@@ -142,6 +142,29 @@ class TestCapacityAndOneSided:
         assert res["cover_size"]["value"] == 2
         assert res["cover[0]"]["value"] == "0,1,2"
         assert res["cover[1]"]["value"] == "3,4"
+
+    def test_one_sided_reads_one_analysis(self, capsys, monkeypatch):
+        # the verdict and the cover share one I(P, W_k) per channel
+        scenario = load_scenario("builtin:union-one-sided")
+        cset = scenario.channels
+        verdict = ccdec.rates.is_one_sided(cset, scenario.input_dist)
+        cover = ccdec.rates.one_sided_cover(cset, scenario.input_dist)
+        informations = []
+
+        def spy_information(*args):
+            informations.append(args)
+            return mutual_information(*args)
+
+        monkeypatch.setattr(ccdec.rates, "mutual_information", spy_information)
+        code, out = run(capsys, "one-sided", "--scenario", "builtin:union-one-sided")
+        assert code == 0
+        assert len(informations) == cset.size == 5
+        res = results(out)["one_sided"]
+        assert res["reason"]["value"] == verdict.reason
+        assert res["witness"]["value"] == verdict.witness
+        assert [res[f"cover[{b}]"]["value"] for b in range(res["cover_size"]["value"])] == [
+            ",".join(map(str, blk)) for blk in cover
+        ]
 
 
 class TestUnconvergedCapacityInput:

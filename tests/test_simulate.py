@@ -26,7 +26,7 @@ from ccdec.simulate import (
     METHODS,
     Codebook,
     _any_competitor_reaches,
-    _competitor_exceedance,
+    _competitor_grid,
     _count_log_counts,
     _draw_symbols,
     _log_factorials,
@@ -38,6 +38,12 @@ from ccdec.simulate import (
 )
 
 UNIFORM = Distribution.uniform(2)
+
+
+def _exceedance(y_counts, input_dist, spec, n, threshold):
+    """Chance that an i.i.d. competitor scores at least ``threshold``, off a grid built for this call alone."""
+    prob, score = _competitor_grid(y_counts, input_dist, spec, n)
+    return float(prob[score >= threshold].sum())
 
 
 class TestGenerateCodebook:
@@ -460,22 +466,76 @@ class TestCompetitorExceedance:
             for s in np.unique(scores):
                 cut = _tie_threshold(float(s))
                 want = word_probs[scores >= cut].sum()
-                got = _competitor_exceedance(y_counts, p, spec, self.N, cut)
+                got = _exceedance(y_counts, p, spec, self.N, cut)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_type_budget_bounds_binary_inputs(self):
-        # 2 inputs, 4 outputs, n = 256: about 65^4 = 1.8e7 joint types
+        # 2 inputs, 4 outputs, n = 256: about 65^4 = 1.8e7 joint types; the
+        # error comes before any output type's grid is allocated
         w = Channel(np.full((2, 4), 0.25))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="use method='codebook'"):
                 estimate_error(
-                    CompoundSet((w,)), DecoderSpec.mmi(), UNIFORM, 256, 0.1, 1, seed=1, method="ensemble"
+                    CompoundSet((w,)), DecoderSpec.mmi(), UNIFORM, 256, 0.1, 20, seed=1, method="ensemble"
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestOutputTypeGrouping:
+    """Trials read off their output type's shared grid agree exactly with trials computed one by one."""
+
+    @staticmethod
+    def one_by_one(cset, spec, p, n, rate_bits, trials, seed):
+        num_codewords = math.ceil(2.0 ** (n * rate_bits))
+        nx, ny = cset.channels[0].nx, cset.channels[0].ny
+        out, types = [], set()
+        for ch, w in enumerate(cset.channels):
+            errors, prob_sum = 0, 0.0
+            for t in range(trials):
+                x = _draw_symbols(p.probs, n, [seed, ch, t, 0])
+                y = transmit(w, x, [seed, ch, t, 2])
+                s_true = score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]
+                y_counts = np.bincount(y, minlength=ny)
+                types.add((ch, tuple(y_counts)))
+                q = _exceedance(y_counts, p, spec, n, _tie_threshold(float(s_true)))
+                e = _any_competitor_reaches(q, num_codewords)
+                prob_sum += e
+                if np.random.default_rng([seed, ch, t, 3]).random() < e:
+                    errors += 1
+            out.append((errors, prob_sum / trials))
+        return out, len(types)
+
+    SETS = {
+        "binary": (
+            [[[0.95, 0.05], [0.05, 0.95]], [[0.9, 0.1], [0.25, 0.75]]], [0.4, 0.6], 12, 0.25,
+        ),
+        "3x3": (
+            [
+                [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+                [[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.05, 0.25, 0.7]],
+            ],
+            [0.3, 0.3, 0.4], 8, 0.3,
+        ),
+    }
+
+    @pytest.mark.parametrize("decoder", ["gmap", "mmi"])
+    @pytest.mark.parametrize("name", SETS)
+    def test_matches_trials_one_by_one(self, decoder, name):
+        matrices, probs, n, rate_bits = self.SETS[name]
+        channels = [Channel(np.array(m)) for m in matrices]
+        cset = CompoundSet(tuple(channels))
+        p = Distribution(np.array(probs))
+        spec = DecoderSpec.mmi() if decoder == "mmi" else DecoderSpec.generalized(build_metrics("map", channels, p))
+        trials = 60
+        want, num_types = self.one_by_one(cset, spec, p, n, rate_bits, trials, seed=4)
+        assert num_types < len(channels) * trials  # output types repeat, so trials share grids
+        got = estimate_error(cset, spec, p, n, rate_bits, trials, seed=4, method="ensemble")
+        assert [(st.errors, st.mean_error_prob) for st in got] == want
+        assert any(0 < errors < trials for errors, _ in want)
 
 
 class TestLogFactorials:
