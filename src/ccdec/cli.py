@@ -148,11 +148,6 @@ def _vn_input(args):
     return scenario, p_x
 
 
-def _blocks(analysis: SetAnalysis):
-    """Blocks of the generalized decoders: the declared components, else a one-sided cover."""
-    return analysis.cset.components if len(analysis.cset.components) > 1 else analysis.cover
-
-
 def _add_capacity(report: Report, cap) -> None:
     report.add("capacity", "capacity", cap.value, "nats")
     report.add("capacity", "iterations", cap.iterations)
@@ -189,22 +184,17 @@ def cmd_analyze(args) -> int:
         report.add("one_sided", "witness", verdict.witness)
     _add_cover(report, analysis.cover)
 
-    blocks = _blocks(analysis)
-    for b, blk in enumerate(blocks):
+    for b, blk in enumerate(analysis.blocks):
         report.add("one_sided", f"component[{b}]", analysis.verdict(blk).one_sided)
 
     for kind in FAMILIES:
-        rep = decoder_rates(analysis, kind, blocks)
+        rep = decoder_rates(analysis, kind)
         for k, r in enumerate(rep.rates):
             report.add(f"rates_{kind}", f"channel[{k}]", float(r), "nats")
         report.add(f"rates_{kind}", "minimum", rep.minimum, "nats")
         report.add(f"rates_{kind}", "metric_channels", ",".join(map(str, rep.metric_indices)))
-        diag = rep.diagnostics
-        report.add("diagnostics", f"fit_iterations[{kind}]", diag["fit_iterations"])
-        report.add("diagnostics", f"bisection_steps[{kind}]", diag["bisection_steps"])
-        report.add(
-            "diagnostics", f"max_marginal_residual[{kind}]", diag["max_marginal_residual"], "probability"
-        )
+    for key, value in analysis.counters().items():
+        report.add("diagnostics", key, value, "probability" if key == "max_marginal_residual" else "")
 
     _emit(_display(report, args.bits), args)
     return EXIT_OK if cap.converged else EXIT_SOLVER
@@ -363,9 +353,7 @@ def cmd_simulate(args) -> int:
 def _decoder_spec(decoder: str, cset: CompoundSet, p_x: Distribution) -> DecoderSpec:
     if decoder == "mmi":
         return DecoderSpec.mmi()
-    analysis = SetAnalysis(cset, p_x)
-    blocks = _blocks(analysis) if decoder in ("glrt", "gmap") else None
-    return DecoderSpec.generalized(worst_metrics(analysis, decoder, blocks)[1])
+    return DecoderSpec.generalized(worst_metrics(SetAnalysis(cset, p_x), decoder)[1])
 
 
 def main(argv=None) -> int:

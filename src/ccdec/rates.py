@@ -17,6 +17,8 @@ Builds on the constrained divergence projection:
   ``is_one_sided`` (when the single worst-channel metric achieves capacity),
   ``one_sided_cover`` and ``generalized_rate`` are views of a fresh record.
   ``one_sided_verdict``, ``worst_per_block`` and ``partition`` serve ``vn`` too.
+  The record decides the blocks of the generalized decoders (``blocks``)
+  and counts the work of every projection it made (``counters``).
 * ``build_metrics``: maximum-likelihood metrics ``log W_k`` and maximum a
   posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` reads the
   channels they come from off a record, one per block.  The
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +134,7 @@ def mismatched_rate(input_dist: Distribution, channel: Channel, metric) -> float
 
 def generalized_rate(input_dist: Distribution, channel: Channel, metrics) -> float:
     """Rate on ``channel`` of the generalized linear decoder maximizing ``metrics``: ``SetAnalysis.rate``."""
-    return SetAnalysis(CompoundSet((channel,)), input_dist).rate(0, metrics)[0]
+    return SetAnalysis(CompoundSet((channel,)), input_dist).rate(0, metrics)
 
 
 def _game_simplex(cuts: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -364,8 +366,13 @@ class SetAnalysis:
             blocks.append(tuple(sorted(block)))
         return tuple(blocks)
 
-    def rate(self, k: int, metrics) -> tuple[float, ProjectionResult | None]:
-        """``generalized_rate`` on channel ``k`` and the winning projection (None: all branches infeasible).
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks of the GLRT and GMAP decoders: the declared components if more than one, else ``cover``."""
+        return self.cset.components if len(self.cset.components) > 1 else self.cover
+
+    def rate(self, k: int, metrics) -> float:
+        """``generalized_rate`` on channel ``k``.
 
         The threshold is the best score the true joint earns across metrics;
         the rate is the smallest per-metric projection value.  Infeasible
@@ -377,15 +384,32 @@ class SetAnalysis:
         mu0 = self.joints[k]
         row, col = mu0.x_marginal, mu0.y_marginal
         threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
-        results = []
+        values = []
         for d in ds:
             key = (row.probs.tobytes(), col.probs.tobytes(), d.tobytes(), threshold)
             if key not in self._projections:
                 self._projections[key] = kl_projection(self.product(k), row, col, d, threshold)
-            results.append(self._projections[key])
-        values = [res.value for res in results]
-        best = int(np.argmin(values))
-        return (math.inf, None) if math.isinf(values[best]) else (values[best], results[best])
+            values.append(self._projections[key].value)
+        return min(values)
+
+    def counters(self) -> dict:
+        """Solver work summed over every projection this record made.
+
+        ``inactive`` projections met their threshold at the product itself;
+        ``infeasible_by_lp`` counts the infeasible ones the reachability LP
+        settled before any fit.
+        """
+        made = self._projections.values()
+        return {
+            "projections": len(made),
+            "inactive": sum(res.feasible and res.multiplier == 0.0 for res in made),
+            "infeasible": sum(not res.feasible for res in made),
+            "infeasible_by_lp": sum(not res.feasible and res.fit_iterations == 0 for res in made),
+            "fit_iterations": sum(res.fit_iterations for res in made),
+            "max_fit_iterations": max((res.fit_iterations for res in made), default=0),
+            "bisection_steps": sum(res.bisection_steps for res in made),
+            "max_marginal_residual": float(max((res.marginal_residual for res in made), default=0.0)),
+        }
 
 
 def is_one_sided(cset: CompoundSet, input_dist: Distribution) -> OneSidedVerdict:
@@ -437,42 +461,25 @@ class RateReport:
     rates: np.ndarray
     minimum: float
     metric_indices: tuple[int, ...]
-    diagnostics: dict = field(default_factory=dict)
 
 
-def worst_metrics(analysis: SetAnalysis, kind: str, blocks=None) -> tuple[tuple[int, ...], list[Metric]]:
+def worst_metrics(analysis: SetAnalysis, kind: str) -> tuple[tuple[int, ...], list[Metric]]:
     """Metrics of a decoder family and the channel indices they come from.
 
-    ``glrt`` / ``gmap``: one ML / MAP metric per block (default: the set's
-    components), from that block's worst channel.  ``ml`` / ``map`` are
-    ``glrt`` / ``gmap`` with the whole set as their one block; ``blocks``
-    is ignored for them.
+    ``glrt`` / ``gmap``: one ML / MAP metric per block of ``analysis.blocks``,
+    from that block's worst channel.  ``ml`` / ``map`` are ``glrt`` /
+    ``gmap`` with the whole set as their one block.
     """
     cset = analysis.cset
     if kind not in _METRIC_KIND:
         raise ValueError(f"unknown decoder kind {kind!r}")
-    if kind in ("ml", "map"):
-        blocks = (tuple(range(cset.size)),)
-    elif blocks is None:
-        blocks = cset.components
+    blocks = (tuple(range(cset.size)),) if kind in ("ml", "map") else analysis.blocks
     idx = worst_per_block(analysis.informations, blocks)
     return idx, build_metrics(_METRIC_KIND[kind], [cset.channels[i] for i in idx], analysis.input_dist)
 
 
-def decoder_rates(analysis: SetAnalysis, kind: str, blocks=None) -> RateReport:
+def decoder_rates(analysis: SetAnalysis, kind: str) -> RateReport:
     """Rates against every member of the decoder family ``kind``, with the metrics of ``worst_metrics``."""
-    metric_idx, metrics = worst_metrics(analysis, kind, blocks)
-    values, winners = zip(*(analysis.rate(k, metrics) for k in range(analysis.cset.size)))
-    rates = np.array(values)
-    wins = [res for res in winners if res is not None]
-    return RateReport(
-        kind=kind,
-        rates=rates,
-        minimum=float(rates.min()),
-        metric_indices=metric_idx,
-        diagnostics={
-            "bisection_steps": sum(res.bisection_steps for res in wins),
-            "fit_iterations": sum(res.fit_iterations for res in wins),
-            "max_marginal_residual": max([0.0] + [res.marginal_residual for res in wins]),
-        },
-    )
+    metric_idx, metrics = worst_metrics(analysis, kind)
+    rates = np.array([analysis.rate(k, metrics) for k in range(analysis.cset.size)])
+    return RateReport(kind=kind, rates=rates, minimum=float(rates.min()), metric_indices=metric_idx)

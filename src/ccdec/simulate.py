@@ -31,7 +31,7 @@ a fresh random codebook per trial):
   probability of the true score is an exact finite sum.  That sum runs over
   a grid of competitor joint types that depends on the received word only
   through its output type, so the competitors are integrated once per
-  output type per channel, and each trial reads its tail mass off its
+  output type of the whole set, and each trial reads its tail mass off its
   type's grid.  A Bernoulli draw with the resulting conditional error
   probability keeps the trial counts honest, and the running mean of the
   conditional probabilities is also recorded (it resolves error
@@ -392,6 +392,24 @@ def estimate_error(
     if input_dist.size != nx:
         raise ValueError("input distribution does not match the channel input alphabet")
 
+    if method == "ensemble":
+        # Draw every trial's true codeword and output, grouping the trials of the whole set by output type.
+        cuts = np.empty((cset.size, trials))
+        by_type: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for ch_idx, channel in enumerate(cset.channels):
+            for t in range(trials):
+                x = _draw_symbols(input_dist.probs, n, [seed, ch_idx, t, 0])
+                y = transmit(channel, x, [seed, ch_idx, t, 2])
+                cuts[ch_idx, t] = _tie_threshold(float(score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]))
+                by_type.setdefault(tuple(np.bincount(y, minlength=ny).tolist()), []).append((ch_idx, t))
+        # Build each output type's competitor grid once; its trials read their tail mass off it.
+        q = np.empty((cset.size, trials))
+        for y_counts, members in by_type.items():
+            prob, score = _competitor_grid(np.array(y_counts), input_dist, spec, n)
+            for ch_idx, t in members:
+                q[ch_idx, t] = prob[score >= cuts[ch_idx, t]].sum()
+            del prob, score  # one grid alive at a time
+
     out = []
     for ch_idx, channel in enumerate(cset.channels):
         errors = 0
@@ -412,23 +430,8 @@ def estimate_error(
                 if s_true < cut or tied:
                     errors += 1
         else:
-            # Draw every trial's true codeword and output, grouping the trials by output type.
-            cuts = np.empty(trials)
-            by_type: dict[tuple[int, ...], list[int]] = {}
             for t in range(trials):
-                x = _draw_symbols(input_dist.probs, n, [seed, ch_idx, t, 0])
-                y = transmit(channel, x, [seed, ch_idx, t, 2])
-                cuts[t] = _tie_threshold(float(score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]))
-                by_type.setdefault(tuple(np.bincount(y, minlength=ny).tolist()), []).append(t)
-            # Build each output type's competitor grid once; its trials read their tail mass off it.
-            q = np.empty(trials)
-            for y_counts, members in by_type.items():
-                prob, score = _competitor_grid(np.array(y_counts), input_dist, spec, n)
-                for t in members:
-                    q[t] = prob[score >= cuts[t]].sum()
-                del prob, score  # one grid alive at a time
-            for t in range(trials):
-                e = _any_competitor_reaches(float(q[t]), num_codewords)
+                e = _any_competitor_reaches(float(q[ch_idx, t]), num_codewords)
                 prob_sum += e
                 if np.random.default_rng([seed, ch_idx, t, 3]).random() < e:
                     errors += 1

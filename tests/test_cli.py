@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
@@ -10,7 +12,8 @@ import ccdec.rates
 from ccdec.cli import main
 from ccdec.probability import mutual_information
 from ccdec.projection import INFEASIBLE_SLACK, kl_projection
-from ccdec.scenario import BUILTIN_SCENARIOS, load_scenario
+from ccdec.rates import SetAnalysis, decoder_rates
+from ccdec.scenario import BUILTIN_SCENARIOS, _stable, load_scenario
 
 LOG2 = math.log(2.0)
 
@@ -209,21 +212,76 @@ class TestDeclaredInputSkipsCapacity:
         assert code == 0
 
 
+# Seeded sets of Dirichlet(1) 3x4 channels at the uniform input: (generator
+# seed, channel count, declared components).  "rand12" declares its even and
+# odd channels as components; on "dirichlet1001" the cover puts every channel
+# in a block of its own.
+SEEDED_SETS = {
+    "rand12": (9, 12, [list(range(0, 12, 2)), list(range(1, 12, 2))]),
+    "dirichlet1001": (1001, 8, None),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SEEDED_SETS))
+def traced_analyze(request, tmp_path_factory):
+    """``analyze`` on a seeded set with ``rates.kl_projection`` wrapped: the results, the scenario and every projection."""
+    seed, count, components = SEEDED_SETS[request.param]
+    rng = np.random.default_rng(seed)
+    doc = {"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(count)], "input": [1 / 3] * 3}
+    if components is not None:
+        doc["components"] = components
+    path = tmp_path_factory.mktemp(request.param) / "set.json"
+    path.write_text(json.dumps(doc))
+    made = []
+
+    def spy(*args):
+        made.append(kl_projection(*args))
+        return made[-1]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(ccdec.rates, "kl_projection", spy)
+        code = main(["analyze", "--scenario", str(path)])
+    assert code == 0
+    return results(out.getvalue()), load_scenario(str(path)), made
+
+
 class TestAnalyzeDiagnostics:
-    def test_projection_counters_per_family(self, capsys):
-        code, out = run(capsys, "analyze", "--scenario", "builtin:bsc-quarter")
-        assert code == 0
-        diag = results(out)["diagnostics"]
-        for kind in ("ml", "map", "glrt", "gmap"):
-            assert diag[f"fit_iterations[{kind}]"]["value"] > 0
-            assert diag[f"bisection_steps[{kind}]"]["value"] > 0
-            assert 0.0 <= diag[f"max_marginal_residual[{kind}]"]["value"] <= 1e-10
+    def test_totals_count_every_projection(self, traced_analyze):
+        res, _, made = traced_analyze
+        diag = {key: entry["value"] for key, entry in res["diagnostics"].items()}
+        assert diag == {
+            "projections": len(made),
+            "inactive": sum(r.feasible and r.fit_iterations == 0 for r in made),
+            "infeasible": sum(not r.feasible for r in made),
+            "infeasible_by_lp": sum(not r.feasible and r.fit_iterations == 0 for r in made),
+            "fit_iterations": sum(r.fit_iterations for r in made),
+            "max_fit_iterations": max(r.fit_iterations for r in made),
+            "bisection_steps": sum(r.bisection_steps for r in made),
+            "max_marginal_residual": _stable(float(max(r.marginal_residual for r in made))),
+        }
+        assert 0.0 < diag["max_marginal_residual"] <= 1e-10
+        assert diag["infeasible"] > 0 and diag["bisection_steps"] > 0
 
     def test_report_bytes_repeat(self, capsys):
         _, first = run(capsys, "analyze", "--scenario", "builtin:union-one-sided")
         _, second = run(capsys, "analyze", "--scenario", "builtin:union-one-sided")
         assert "diagnostics" in results(first)
         assert first == second
+
+
+class TestLibraryAgreesWithAnalyze:
+    """``decoder_rates`` on a fresh record answers what ``analyze`` reports."""
+
+    @pytest.mark.parametrize("kind", ["ml", "map", "glrt", "gmap"])
+    def test_decoder_rates_match_the_report(self, traced_analyze, kind):
+        res, scenario, _ = traced_analyze
+        rep = decoder_rates(SetAnalysis(scenario.channels, scenario.input_dist), kind)
+        reported = res[f"rates_{kind}"]
+        assert [reported[f"channel[{k}]"]["value"] for k in range(len(rep.rates))] == [
+            _stable(float(r)) for r in rep.rates
+        ]
+        assert reported["metric_channels"]["value"] == ",".join(map(str, rep.metric_indices))
 
 
 class TestAnalyzeComputesEachQuantityOnce:

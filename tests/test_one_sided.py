@@ -20,22 +20,9 @@ from ccdec import (
 )
 from ccdec.rates import ONE_SIDED_SLACK, WORST_TIE_TOL, OneSidedVerdict, SetAnalysis
 from ccdec.vn import Direction, embed
-from conftest import random_channel, random_distribution
+from conftest import random_channel, random_distribution, segment_toward_noise
 
 UNIFORM = Distribution.uniform(2)
-
-
-def segment_toward_noise(rng, nx, ny, samples, t_hi=0.9):
-    """A finite sample of channels on the segment from a random channel to pure noise.
-
-    Mutual information is convex along the segment and zero at the noise end,
-    hence nonincreasing in t; the largest sampled t is the exact worst channel
-    of the sampled hull, which makes the sample one-sided at any input.
-    """
-    a = random_channel(rng, nx, ny)
-    noise = Channel.pure_noise(Distribution(rng.dirichlet(np.ones(ny) * 5.0)), nx)
-    ts = np.sort(rng.uniform(0.05, t_hi, size=samples))
-    return CompoundSet(tuple(a.mix(noise, float(t)) for t in ts))
 
 
 class TestIsOneSided:

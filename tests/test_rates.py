@@ -18,8 +18,8 @@ from ccdec import (
     mutual_information,
     worst_channel,
 )
-from ccdec.rates import SetAnalysis, min_with_ties, partition, worst_metrics
-from conftest import bsc_capacity_nats, random_channel, random_distribution
+from ccdec.rates import SetAnalysis, min_with_ties, partition, worst_metrics, worst_per_block
+from conftest import bsc_capacity_nats, random_channel, random_distribution, segment_toward_noise
 
 UNIFORM = Distribution.uniform(2)
 
@@ -118,15 +118,36 @@ class TestLinearIsOneMetricGeneralized:
 
     @pytest.mark.parametrize("linear, generalized", [("ml", "glrt"), ("map", "gmap")])
     def test_linear_family_is_whole_set_block(self, rng, linear, generalized):
+        # A sample of a segment toward noise is one-sided, so its one block is the whole set.
         for _ in range(5):
-            cset = CompoundSet(tuple(random_channel(rng, 3, 3) for _ in range(4)), ((0, 1), (2, 3)))
-            p = random_distribution(rng, 3)
-            analysis = SetAnalysis(cset, p)
+            cset = segment_toward_noise(rng, 3, 3, 4)
+            analysis = SetAnalysis(cset, random_distribution(rng, 3))
+            assert analysis.blocks == (tuple(range(cset.size)),)
             idx_lin, metrics_lin = worst_metrics(analysis, linear)
-            idx_gen, metrics_gen = worst_metrics(analysis, generalized, (tuple(range(cset.size)),))
+            idx_gen, metrics_gen = worst_metrics(analysis, generalized)
             assert idx_lin == idx_gen
             assert len(metrics_lin) == len(metrics_gen) == 1
             assert np.array_equal(metrics_lin[0].values, metrics_gen[0].values)
+
+
+class TestGeneralizedBlocks:
+    """The GLRT and GMAP blocks: the declared components if more than one, else the cover."""
+
+    def test_declared_components(self, rng):
+        cset = CompoundSet(tuple(random_channel(rng, 3, 3) for _ in range(4)), ((0, 2), (1, 3)))
+        analysis = SetAnalysis(cset, random_distribution(rng, 3))
+        assert analysis.blocks == ((0, 2), (1, 3))
+        idx, metrics = worst_metrics(analysis, "gmap")
+        assert idx == worst_per_block(analysis.informations, ((0, 2), (1, 3)))
+        assert len(metrics) == 2
+
+    def test_undeclared_set_takes_the_cover(self):
+        cset = CompoundSet((Channel.bsc(0.1), Channel.bsc(0.9)))
+        analysis = SetAnalysis(cset, UNIFORM)
+        assert analysis.cover == ((0,), (1,))
+        assert analysis.blocks == analysis.cover
+        assert worst_metrics(analysis, "glrt")[0] == (0, 1)
+        assert worst_metrics(analysis, "ml")[0] == (0,)
 
 
 class TestFullSetLikelihoodFamily:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import ccdec.simulate
 from ccdec import (
     Channel,
     CompoundSet,
@@ -500,14 +501,14 @@ class TestOutputTypeGrouping:
                 y = transmit(w, x, [seed, ch, t, 2])
                 s_true = score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]
                 y_counts = np.bincount(y, minlength=ny)
-                types.add((ch, tuple(y_counts)))
+                types.add((ch, tuple(y_counts.tolist())))
                 q = _exceedance(y_counts, p, spec, n, _tie_threshold(float(s_true)))
                 e = _any_competitor_reaches(q, num_codewords)
                 prob_sum += e
                 if np.random.default_rng([seed, ch, t, 3]).random() < e:
                     errors += 1
             out.append((errors, prob_sum / trials))
-        return out, len(types)
+        return out, types
 
     SETS = {
         "binary": (
@@ -531,11 +532,30 @@ class TestOutputTypeGrouping:
         p = Distribution(np.array(probs))
         spec = DecoderSpec.mmi() if decoder == "mmi" else DecoderSpec.generalized(build_metrics("map", channels, p))
         trials = 60
-        want, num_types = self.one_by_one(cset, spec, p, n, rate_bits, trials, seed=4)
-        assert num_types < len(channels) * trials  # output types repeat, so trials share grids
+        want, types = self.one_by_one(cset, spec, p, n, rate_bits, trials, seed=4)
+        assert len(types) < len(channels) * trials  # output types repeat, so trials share grids
         got = estimate_error(cset, spec, p, n, rate_bits, trials, seed=4, method="ensemble")
         assert [(st.errors, st.mean_error_prob) for st in got] == want
         assert any(0 < errors < trials for errors, _ in want)
+
+    @pytest.mark.parametrize("name", SETS)
+    def test_one_grid_per_output_type_of_the_set(self, monkeypatch, name):
+        matrices, probs, n, rate_bits = self.SETS[name]
+        channels = [Channel(np.array(m)) for m in matrices]
+        cset = CompoundSet(tuple(channels))
+        p = Distribution(np.array(probs))
+        spec = DecoderSpec.generalized(build_metrics("map", channels, p))
+        _, types = self.one_by_one(cset, spec, p, n, rate_bits, 60, seed=4)
+        built = []
+
+        def spy(y_counts, *args):
+            built.append(tuple(y_counts.tolist()))
+            return _competitor_grid(y_counts, *args)
+
+        monkeypatch.setattr(ccdec.simulate, "_competitor_grid", spy)
+        estimate_error(cset, spec, p, n, rate_bits, 60, seed=4, method="ensemble")
+        assert sorted(built) == sorted({y_counts for _, y_counts in types})
+        assert len(built) < len(types)  # the channels share output types
 
 
 class TestLogFactorials:
