@@ -172,18 +172,33 @@ def kl_divergence(p, q) -> float:
     Accepts matching-shape Distribution, Joint, Channel rows or raw arrays.
     Returns ``math.inf`` when ``p`` puts mass outside the support of ``q``;
     ``0 log(0/.)`` contributes zero.  Roundoff below zero, which nearly equal
-    arguments produce, is clamped to zero.
+    arguments produce, is clamped to zero.  The one-pair case of ``kl_table``.
     """
     a = _values(p)
     b = _values(q)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(kl_table(a[None], b[None])[0, 0])
+
+
+def kl_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``D(p[k] || q[s])`` for every pair of the stacked arrays ``p`` and ``q``.
+
+    Entries below ``SUPPORT_FLOOR`` count as zeros: ``p[k]`` mass where
+    ``q[s]`` has none gives ``math.inf``, and ``0 log(0/.)`` contributes
+    zero, without a warning.  Each pair sums its terms over one contiguous
+    row of the flattened arrays, so an entry has the same bits whatever else
+    is stacked with it.
+    """
+    a = p.reshape(len(p), -1)
+    b = q.reshape(len(q), -1)
     on = a > SUPPORT_FLOOR
-    if np.any(on & (b <= SUPPORT_FLOOR)):
-        return math.inf
-    a_on = np.where(on, a, 1.0)
-    b_on = np.where(on, b, 1.0)
-    return max(0.0, float(np.sum(np.where(on, a * (np.log(a_on) - np.log(b_on)), 0.0))))
+    log_a = np.log(np.where(on, a, 1.0))
+    log_b = np.log(np.where(b > SUPPORT_FLOOR, b, 1.0))
+    terms = np.where(on[:, None], a[:, None] * (log_a[:, None] - log_b[None]), 0.0)
+    table = np.maximum(terms.sum(axis=2), 0.0)
+    table[(on[:, None] & (b <= SUPPORT_FLOOR)[None]).any(axis=2)] = math.inf
+    return table
 
 
 def xlogy(x, y) -> np.ndarray:

@@ -21,7 +21,10 @@ minimizer an exponential-family form
 with multiplier ``lam >= 0``.  For a fixed ``lam`` the potentials ``u, v``
 are fitted by iterative proportional fitting (Sinkhorn scaling) so that the
 marginals match; after fitting, ``E_mu[score]`` is nondecreasing in ``lam``,
-so the active multiplier is located by bisection.
+so the active multiplier is bracketed by the probes ``lam = 1, 2, 4, ...``
+and located by bisection.  A probe within ``CONSTRAINT_TOL`` of the
+threshold ends the search, the bisection's own stopping rule; a matched
+metric ``log W0`` has the multiplier 1 and stops at its first probe.
 
 Log-domain fitting
 ------------------
@@ -277,14 +280,16 @@ def kl_projection(
         total_fit_iters += its
         return mu, float(np.sum(mu * d)), uu, vv, resid
 
-    # Bracket the active multiplier: expand until E(lam) clears the threshold.
+    # Bracket the active multiplier: expand until E(lam) clears the threshold or
+    # meets it within the bisection's own tolerance.  A matched metric's first
+    # probe, lam = 1, is the exact multiplier up to roundoff.
     lo = 0.0
     hi = 1.0
     capped = False
     while True:
         hi = min(hi, LAMBDA_CAP)
         mu, expect, u, v, resid = fit(hi, u, v)
-        if expect >= threshold:
+        if expect >= threshold - CONSTRAINT_TOL:
             break
         lo = hi
         if hi >= LAMBDA_CAP:
@@ -296,21 +301,24 @@ def kl_projection(
         # Within the slack of the maximum, yet out of the capped multiplier's reach.
         return infeasible(expect, resid)
 
-    # Bisection on the monotone map lam -> E(lam).
+    # Bisection on the monotone map lam -> E(lam); ``steps`` counts its fits.
     steps = 0
     lam = hi
     if not capped:
-        for steps in range(1, MAX_BISECTIONS + 1):
-            if abs(expect - threshold) <= CONSTRAINT_TOL or hi - lo <= 1e-15 * max(1.0, hi):
-                break
+        while (
+            abs(expect - threshold) > CONSTRAINT_TOL
+            and hi - lo > 1e-15 * max(1.0, hi)
+            and steps < MAX_BISECTIONS
+        ):
+            steps += 1
             lam = 0.5 * (lo + hi)
             mu, expect, u, v, resid = fit(lam, u, v)
             if expect >= threshold:
                 hi = lam
             else:
                 lo = lam
-        if expect < threshold:
-            # Land on the feasible side of the bracket.
+        if lam < hi:
+            # The last fit fell short: land on the feasible side of the bracket.
             mu, expect, u, v, resid = fit(hi, u, v)
             lam = hi
 

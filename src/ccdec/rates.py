@@ -13,9 +13,12 @@ Builds on the constrained divergence projection:
   cutting planes (one small matrix game per step, solved by a warm-started
   simplex and counted in ``iterations``), with the game's optimal weights
   on the planes as an upper-bound certificate.
-* ``SetAnalysis``: one record per channel set and input.  ``worst_channel``,
-  ``is_one_sided`` (when the single worst-channel metric achieves capacity),
-  ``one_sided_cover`` and ``generalized_rate`` are views of a fresh record.
+* ``SetAnalysis``: one record per channel set and input.  One batched
+  divergence table (``probability.kl_table``) gives its informations and
+  the margins of every one-sided split, so verdicts and covers are lookups.
+  ``worst_channel``, ``is_one_sided`` (when the single worst-channel metric
+  achieves capacity), ``one_sided_cover`` and ``generalized_rate`` are
+  views of a fresh record.
   ``one_sided_verdict``, ``worst_per_block`` and ``partition`` serve ``vn`` too.
   The record decides the blocks of the generalized decoders (``blocks``)
   and counts the work of every projection it made (``counters``).
@@ -40,10 +43,13 @@ from .probability import (
     Distribution,
     Joint,
     joint_of,
-    kl_divergence,
-    mutual_information,
+    kl_table,
     xlogy,
 )
+
+# Not called here since ``SetAnalysis`` reads every divergence off one table;
+# kept as names of this module, which tracers and tests rebind to count calls.
+from .probability import kl_divergence, mutual_information  # noqa: F401
 from .projection import ProjectionResult, _simplex, kl_projection
 
 WORST_TIE_TOL = 1e-9
@@ -304,35 +310,69 @@ def one_sided_verdict(values: np.ndarray, margin, member: str) -> OneSidedVerdic
 class SetAnalysis:
     """One channel set at one input: each quantity the rate layer reads, computed once.
 
-    The informations ``I_k = I(P, W_k)`` and the joints ``mu_k`` are computed
-    on first use, the products ``mu_s^p``, split margins and projections on
-    the first request for each.  A projection is reused only for the same
-    joint marginals, metric values and threshold, which fix its arguments
-    exactly: the object a fresh call would return.  Channels that share an
-    output marginal at this input share their projections.
+    The joints ``mu_k = P(x) W_k(y|x)`` and their products ``mu_k^p`` are
+    stacked on first use, and both divergence tables of the one-sided split
+    come from one batched ``kl_table``: ``D(mu_k || mu_s^p)``, whose diagonal
+    holds the informations ``I_k = I(P, W_k)``, and ``D(mu_k || mu_s)``.  The
+    verdicts and the cover look up ``margins``.  Projections are made on the
+    first request for each and reused only for the same joint marginals,
+    metric values and threshold, which fix their arguments exactly: the
+    object a fresh call would return.  Channels that share an output marginal
+    at this input share their projections.
     """
 
     def __init__(self, cset: CompoundSet, input_dist: Distribution):
         self.cset = cset
         self.input_dist = input_dist
-        self.product = functools.cache(lambda s: self.joints[s].product)
-        self.margin = functools.cache(self._margin)
         self._projections: dict[tuple, ProjectionResult] = {}
 
     @functools.cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The joints ``mu_k`` and the products ``mu_k^p`` as ``(K, |X|, |Y|)`` arrays."""
+        p = self.input_dist.probs
+        mats = np.stack([w.matrix for w in self.cset.channels])
+        if p.shape[0] != mats.shape[1]:
+            raise ValueError(
+                f"dimension mismatch: input has {p.shape[0]} symbols, channel has {mats.shape[1]} rows"
+            )
+        mu = p[:, None] * mats
+        return mu, mu.sum(axis=2)[:, :, None] * mu.sum(axis=1)[:, None, :]
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``D(mu_k || mu_s^p)`` and ``D(mu_k || mu_s)``, indexed ``[k, s]``."""
+        mu, products = self._stacked
+        table = kl_table(mu, np.concatenate([products, mu]))
+        return table[:, : len(mu)], table[:, len(mu) :]
+
+    @functools.cached_property
     def informations(self) -> np.ndarray:
-        return np.array([mutual_information(self.input_dist, w) for w in self.cset.channels])
+        return self._tables[0].diagonal().copy()
+
+    @functools.cached_property
+    def margins(self) -> np.ndarray:
+        """``margins[k, s] = D(mu_k || mu_s^p) - D(mu_k || mu_s) - I_s``: member ``k``'s slack in the split at ``s``.
+
+        Where the supports allow, the two divergences differ by
+        ``G[k, s] = E_{mu_k}[log W_s / q_s]`` (``q_s`` the output marginal of
+        ``mu_s``) and ``I_s = G[s, s]``, so the margin is
+        ``G[k, s] - G[s, s]``: the global twin of the centred-Gram margin of
+        ``vn.vn_is_one_sided``.  The table is the divergence difference, not
+        ``G``, whose roundoff differs.  Both sides infinite counts as equality;
+        one infinite side gives +-inf.
+        """
+        to_product, to_joint = self._tables
+        rhs = to_joint + self.informations
+        both = np.isinf(to_product) & np.isinf(rhs)
+        return np.subtract(to_product, rhs, out=np.zeros_like(rhs), where=~both)
 
     @functools.cached_property
     def joints(self) -> tuple[Joint, ...]:
-        return tuple(joint_of(self.input_dist, w) for w in self.cset.channels)
+        return tuple(Joint(m) for m in self._stacked[0])
 
-    def _margin(self, k: int, s: int) -> float:
-        """``D(mu_k || mu_s^p) - D(mu_k || mu_s) - I_s``: member ``k``'s slack in the split at ``s``."""
-        lhs = kl_divergence(self.joints[k], self.product(s))
-        rhs = kl_divergence(self.joints[k], self.joints[s]) + self.informations[s]
-        # Both sides infinite counts as equality; one infinite side gives +-inf.
-        return 0.0 if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs
+    @functools.cached_property
+    def products(self) -> tuple[Joint, ...]:
+        return tuple(Joint(m) for m in self._stacked[1])
 
     @property
     def worst(self) -> WorstChannelResult:
@@ -343,7 +383,7 @@ class SetAnalysis:
         """``is_one_sided`` of the set, or of the channels in ``block`` with indices local to it."""
         blk = range(self.cset.size) if block is None else tuple(block)
         values = self.informations[list(blk)]
-        return one_sided_verdict(values, lambda k, s: self.margin(blk[k], blk[s]), "channel")
+        return one_sided_verdict(values, lambda k, s: self.margins[blk[k], blk[s]], "channel")
 
     @functools.cached_property
     def cover(self) -> tuple[tuple[int, ...], ...]:
@@ -361,7 +401,7 @@ class SetAnalysis:
             seed, *rest = remaining
             block, remaining = [seed], []
             for k in rest:
-                joins = infos[k] > infos[seed] + WORST_TIE_TOL and self.margin(k, seed) >= -ONE_SIDED_SLACK
+                joins = infos[k] > infos[seed] + WORST_TIE_TOL and self.margins[k, seed] >= -ONE_SIDED_SLACK
                 (block if joins else remaining).append(k)
             blocks.append(tuple(sorted(block)))
         return tuple(blocks)
@@ -388,7 +428,7 @@ class SetAnalysis:
         for d in ds:
             key = (row.probs.tobytes(), col.probs.tobytes(), d.tobytes(), threshold)
             if key not in self._projections:
-                self._projections[key] = kl_projection(self.product(k), row, col, d, threshold)
+                self._projections[key] = kl_projection(self.products[k], row, col, d, threshold)
             values.append(self._projections[key].value)
         return min(values)
 

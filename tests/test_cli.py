@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -147,21 +148,28 @@ class TestCapacityAndOneSided:
         assert res["cover[1]"]["value"] == "3,4"
 
     def test_one_sided_reads_one_analysis(self, capsys, monkeypatch):
-        # the verdict and the cover share one I(P, W_k) per channel
+        # the verdict and the cover read one record, whose one divergence
+        # table holds each I(P, W_k) once; no divergence is taken pair by pair
         scenario = load_scenario("builtin:union-one-sided")
         cset = scenario.channels
         verdict = ccdec.rates.is_one_sided(cset, scenario.input_dist)
         cover = ccdec.rates.one_sided_cover(cset, scenario.input_dist)
-        informations = []
+        calls = collections.Counter()
 
-        def spy_information(*args):
-            informations.append(args)
-            return mutual_information(*args)
+        def counted(name):
+            fn = getattr(ccdec.rates, name)
 
-        monkeypatch.setattr(ccdec.rates, "mutual_information", spy_information)
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return spy
+
+        for name in ("mutual_information", "kl_divergence", "kl_table"):
+            monkeypatch.setattr(ccdec.rates, name, counted(name))
         code, out = run(capsys, "one-sided", "--scenario", "builtin:union-one-sided")
         assert code == 0
-        assert len(informations) == cset.size == 5
+        assert calls == {"kl_table": 1}
         res = results(out)["one_sided"]
         assert res["reason"]["value"] == verdict.reason
         assert res["witness"]["value"] == verdict.witness

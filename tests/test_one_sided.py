@@ -255,6 +255,27 @@ def near_tie_set(rng):
     return CompoundSet(tuple(chans)), p
 
 
+def sub_floor_set(rng):
+    # Entries and input masses below SUPPORT_FLOOR count as zeros.  A rare
+    # input letter whose row sends all its mass to an output letter the other
+    # rows miss keeps mu_s above the floor there and mu_s^p below it, so I_s
+    # comes out infinite, as does D(mu_k || mu_s^p) for each k with mass there.
+    nx, ny = int(rng.integers(2, 4)), int(rng.integers(3, 5))
+    p = rng.dirichlet(np.ones(nx) * 2.0)
+    p[-1] = rng.choice([3e-16, 1e-9, 1e-8])
+    chans = []
+    for _ in range(int(rng.integers(2, 7))):
+        m = rng.dirichlet(np.ones(ny), size=nx)
+        low = rng.uniform(size=(nx, ny)) < 0.3
+        m[low] = rng.choice([0.0, 1e-17, 4e-16], size=int(low.sum()))
+        if rng.uniform() < 0.5:
+            m[:-1, -1] = rng.choice([0.0, 1e-17], size=nx - 1)
+            m[-1] = np.eye(ny)[-1]
+        m[:, 0] += m.sum(axis=1) == 0.0
+        chans.append(Channel(m / m.sum(axis=1, keepdims=True)))
+    return CompoundSet(tuple(chans)), Distribution(p / p.sum())
+
+
 def random_partition(rng, n):
     """Blocks of a random partition of ``range(n)``, each in a random order."""
     cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
@@ -273,7 +294,7 @@ def same_verdict(a, b) -> bool:
 class TestAgainstReference:
     @pytest.mark.parametrize(
         "seed, make",
-        enumerate([dirichlet_set, zero_entry_set, segment_union_set, mirrored_tie_set, near_tie_set]),
+        enumerate([dirichlet_set, zero_entry_set, segment_union_set, mirrored_tie_set, near_tie_set, sub_floor_set]),
     )
     def test_verdicts_and_covers_match(self, seed, make):
         rng = np.random.default_rng([20240817, seed])
@@ -298,3 +319,15 @@ class TestAgainstReference:
             assert ties > 0
         if make is not segment_union_set:
             assert failures > 0
+
+    def test_sub_floor_family_reaches_infinite_informations(self):
+        # the draws of the sub-floor family above, with its seed; a singleton
+        # block of such a channel compares the both-infinite margin 0
+        rng = np.random.default_rng([20240817, 5])
+        infinite = 0
+        for _ in range(80):
+            cset, p = sub_floor_set(rng)
+            analysis = SetAnalysis(cset, p)
+            infinite += bool(np.isinf(analysis.informations).any())
+            assert not np.isnan(analysis.margins).any()
+        assert infinite > 0

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 import ccdec.projection
-from ccdec import Channel, Distribution, Joint, joint_of, kl_divergence, kl_projection
+from ccdec import Channel, Distribution, Joint, joint_of, kl_divergence, kl_projection, mutual_information
 from ccdec.projection import _logsumexp, _polytope_max, _simplex
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
@@ -62,6 +62,19 @@ class TestMatchedIdentity:
         res = kl_projection(mu0.product, mu0.x_marginal, mu0.y_marginal, d, threshold)
         oracle = grid_search_oracle(mu0.product, d, threshold)
         assert res.value == pytest.approx(oracle, abs=5e-4)
+
+    def test_first_probe_settles_a_matched_metric(self, rng):
+        # lam = 1 is the exact multiplier; its fit meets the threshold up to
+        # roundoff, which the bracket accepts without a bisection
+        for _ in range(30):
+            nx, ny = (int(n) for n in rng.integers(2, 5, size=2))
+            p = random_distribution(rng, nx)
+            w = random_channel(rng, nx, ny)
+            mu0 = joint_of(p, w)
+            d = np.log(w.matrix)
+            res = kl_projection(mu0.product, mu0.x_marginal, mu0.y_marginal, d, float(np.sum(mu0.matrix * d)))
+            assert (res.multiplier, res.bisection_steps) == (1.0, 0)
+            assert res.value == pytest.approx(mutual_information(p, w), abs=1e-9)
 
 
 class TestInfeasible:
@@ -123,6 +136,38 @@ class TestSolverContract:
             if math.isfinite(res.value) and res.multiplier > 0:
                 assert abs(res.constraint_gap) <= 1e-8
                 assert res.marginal_residual <= 1e-10
+
+    def test_bisection_steps_count_the_bisection_fits(self, monkeypatch):
+        # Uniform base, score on one cell: a fit's kernel is log(1/4) + lam d,
+        # so its multiplier reads off one kernel entry.  The bracket probes
+        # lam = 1, 2, 4, ...; the bisection probes new multipliers strictly
+        # inside the bracket; a landing fit repeats an earlier kernel.
+        kernels = []
+
+        def spy(log_kernel, *args):
+            kernels.append(log_kernel.copy())
+            return fit(log_kernel, *args)
+
+        fit = ccdec.projection._log_fit
+        monkeypatch.setattr(ccdec.projection, "_log_fit", spy)
+        uniform = Distribution.uniform(2)
+        base = Joint(np.full((2, 2), 0.25))
+        d = np.array([[1.0, 0.0], [0.0, 0.0]])
+        landed = 0
+        for threshold in np.linspace(0.32, 0.49, 9):
+            kernels.clear()
+            res = kl_projection(base, uniform, uniform, d, float(threshold))
+            lams = [k[0, 0] - k[0, 1] for k in kernels]
+            bracket = next(i for i, lam in enumerate(lams) if not math.isclose(lam, 2.0**i))
+            seen = {k.tobytes() for k in kernels[:bracket]}
+            fresh = []
+            for k in kernels[bracket:]:
+                fresh.append(k.tobytes() not in seen)
+                seen.add(k.tobytes())
+            assert res.bisection_steps == sum(fresh) > 0
+            assert all(fresh[:-1])
+            landed += not fresh[-1]
+        assert landed > 0
 
     def test_minimizer_matches_value(self, rng):
         for _ in range(10):

@@ -26,7 +26,9 @@ from ccdec import (
     vn_is_one_sided,
     vn_mismatched_rate,
 )
+from ccdec.rates import SetAnalysis
 from ccdec.vn import (
+    _gram,
     divergence_gap_table,
     expected_log_gap_table,
     mismatched_rate_gap_table,
@@ -244,13 +246,23 @@ class TestOneSidedLifting:
         assert clear > 0
 
 
+def _split_margin_tables(dset, p, eps):
+    """The global split margins ``[k, s]`` on the embedded set, scaled, and their local twins ``2 (G~[k, s] - G~[s, s])``."""
+    analysis = SetAnalysis(CompoundSet(tuple(embed(d, eps) for d in dset.directions)), p)
+    *_, gt = _gram(dset.directions, p)
+    return 2.0 / eps**2 * analysis.margins, 2.0 * (gt - gt.diagonal()[None, :])
+
+
 # Closed forms of the very-noisy geometry with their global twins.  A row maps
-# (direction set, input, eps) to (2/eps^2 times the global value, the local value).
+# (direction set, input, eps) to (2/eps^2 times the global value, the local
+# value), each a number or a table; a table's error is its largest entry error
+# relative to the local table's Frobenius norm.
 LIFTING_ROWS = {
     "capacity": lambda dset, p, eps: (
         2.0 / eps**2 * min(mutual_information(p, embed(d, eps)) for d in dset.directions),
         vn_compound_capacity(dset, p).value,
     ),
+    "split margins": _split_margin_tables,
 }
 
 
@@ -267,7 +279,7 @@ class TestClosedFormLifting:
             errors = []
             for eps in (1e-2, 1e-3):
                 scaled, local = LIFTING_ROWS[row](dset, p, eps)
-                errors.append(abs(scaled - local) / local)
+                errors.append(np.abs(scaled - local).max() / np.linalg.norm(local))
             assert errors[1] <= errors[0] / 5.0
             assert errors[1] < 1e-2
 
