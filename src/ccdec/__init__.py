@@ -21,12 +21,14 @@ from .projection import ProjectionResult, SolverError, kl_projection
 from .rates import (
     CapacityResult,
     CompoundSet,
+    Decoder,
     Metric,
     RateReport,
     SetAnalysis,
     build_metrics,
     compound_capacity,
     decoder_rates,
+    family,
     generalized_rate,
     is_one_sided,
     mismatched_rate,
@@ -46,7 +48,6 @@ from .scenario import (
 )
 from .simulate import (
     Codebook,
-    DecoderSpec,
     TrialStats,
     decode,
     estimate_error,

@@ -32,18 +32,18 @@ import numpy as np
 from .probability import NATS_PER_BIT, Distribution
 from .projection import SolverError
 from .rates import (
+    DECODERS,
     FAMILIES,
-    CompoundSet,
     SetAnalysis,
     compound_capacity,
     decoder_rates,
+    family,
     is_one_sided,  # no command calls these two; perfbench/spans.py binds their names here
     one_sided_cover,
-    worst_metrics,
     worst_per_block,
 )
 from .scenario import Report, ScenarioError, SimulationConfig, load_scenario, render_report, write_report
-from .simulate import DECODERS, METHODS, DecoderSpec, estimate_error, format_count
+from .simulate import METHODS, estimate_error, format_count
 from .vn import (
     DirectionSet,
     blind_polytope_rate,
@@ -188,11 +188,11 @@ def cmd_analyze(args) -> int:
         report.add("one_sided", f"component[{b}]", analysis.verdict(blk).one_sided)
 
     for kind in FAMILIES:
-        rep = decoder_rates(analysis, kind)
+        rep = decoder_rates(analysis, family(analysis, kind))
         for k, r in enumerate(rep.rates):
             report.add(f"rates_{kind}", f"channel[{k}]", float(r), "nats")
         report.add(f"rates_{kind}", "minimum", rep.minimum, "nats")
-        report.add(f"rates_{kind}", "metric_channels", ",".join(map(str, rep.metric_indices)))
+        report.add(f"rates_{kind}", "metric_channels", ",".join(map(str, rep.decoder.channels)))
     for key, value in analysis.counters().items():
         report.add("diagnostics", key, value, "probability" if key == "max_marginal_residual" else "")
 
@@ -318,9 +318,9 @@ def cmd_simulate(args) -> int:
     )
 
     p_x, code = _input(scenario, args.tol)
-    spec = _decoder_spec(sim.decoder, cset, p_x)
+    decoder = family(SetAnalysis(cset, p_x), sim.decoder)
     stats = estimate_error(
-        cset, spec, p_x, sim.block_length, sim.rate_bits, sim.trials, sim.seed, method=sim.method
+        cset, decoder, p_x, sim.block_length, sim.rate_bits, sim.trials, sim.seed, method=sim.method
     )
     report = Report(
         meta={
@@ -348,12 +348,6 @@ def cmd_simulate(args) -> int:
             report.add(sec, "mean_error_prob", st.mean_error_prob, "probability")
     _emit(report, args)
     return code
-
-
-def _decoder_spec(decoder: str, cset: CompoundSet, p_x: Distribution) -> DecoderSpec:
-    if decoder == "mmi":
-        return DecoderSpec.mmi()
-    return DecoderSpec.generalized(worst_metrics(SetAnalysis(cset, p_x), decoder)[1])
 
 
 def main(argv=None) -> int:

@@ -22,11 +22,15 @@ Builds on the constrained divergence projection:
   ``one_sided_verdict``, ``worst_per_block`` and ``partition`` serve ``vn`` too.
   The record decides the blocks of the generalized decoders (``blocks``)
   and counts the work of every projection it made (``counters``).
-* ``build_metrics``: maximum-likelihood metrics ``log W_k`` and maximum a
-  posteriori metrics ``log(W_k / (mu_k)_Y)``; ``worst_metrics`` reads the
-  channels they come from off a record, one per block.  The
-  linear ML and MAP decoders are the GLRT and GMAP decoders whose one block
-  is the whole set.
+* ``Decoder``: the generalized linear decoder of its metrics, the one record
+  that the rate layer and the simulator take.  One metric makes it linear,
+  and no metrics make it the MMI decoder.
+* ``family``: the decoder of a named family on a record.  ``glrt`` / ``gmap``
+  take maximum-likelihood metrics ``log W_k`` / maximum a posteriori metrics
+  ``log(W_k / (mu_k)_Y)`` (``build_metrics``) from the worst channel of each
+  block; the linear ``ml`` and ``map`` decoders are the GLRT and GMAP
+  decoders whose one block is the whole set.  ``decoder_rates`` gives a
+  decoder's rate against every member.
 """
 
 from __future__ import annotations
@@ -56,10 +60,9 @@ WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
 # Master solves after which ``compound_capacity`` stops short of its tolerance.
 CAPACITY_MAX_ITERATIONS = 100_000
-# Metric kind of each decoder family: "ml" for log W, "map" for log(W / q).
-_METRIC_KIND = {"ml": "ml", "map": "map", "glrt": "ml", "gmap": "map"}
-# The decoder families, in report order.
-FAMILIES = tuple(_METRIC_KIND)
+# The decoder families, in report order, and the decoders a simulation takes: the families and MMI.
+FAMILIES = ("ml", "map", "glrt", "gmap")
+DECODERS = FAMILIES + ("mmi",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,33 +496,56 @@ def build_metrics(kind: str, channels, input_dist: Distribution) -> list[Metric]
     return metrics
 
 
-@dataclass
-class RateReport:
-    """Per-channel achievable rates for one decoder family."""
+@dataclass(frozen=True)
+class Decoder:
+    """The generalized linear decoder that maximizes the pointwise maximum of ``metrics``.
 
-    kind: str
-    rates: np.ndarray
-    minimum: float
-    metric_indices: tuple[int, ...]
+    One metric makes it the linear decoder of that metric; no metrics make
+    it the MMI decoder, which maximizes the empirical mutual information.
+    ``name`` is the family it was built for and ``channels`` the members the
+    metrics came from (see ``family``).
+    """
+
+    metrics: tuple[Metric, ...] = ()
+    name: str = ""
+    channels: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "metrics", tuple(self.metrics))
 
 
-def worst_metrics(analysis: SetAnalysis, kind: str) -> tuple[tuple[int, ...], list[Metric]]:
-    """Metrics of a decoder family and the channel indices they come from.
+def family(analysis: SetAnalysis, name: str) -> Decoder:
+    """The decoder of family ``name`` on the record's set and input.
 
     ``glrt`` / ``gmap``: one ML / MAP metric per block of ``analysis.blocks``,
     from that block's worst channel.  ``ml`` / ``map`` are ``glrt`` /
-    ``gmap`` with the whole set as their one block.
+    ``gmap`` with the whole set as their one block.  ``mmi`` has no metrics.
     """
+    if name == "mmi":
+        return Decoder(name=name)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown decoder kind {name!r}")
     cset = analysis.cset
-    if kind not in _METRIC_KIND:
-        raise ValueError(f"unknown decoder kind {kind!r}")
-    blocks = (tuple(range(cset.size)),) if kind in ("ml", "map") else analysis.blocks
+    blocks = (tuple(range(cset.size)),) if name in ("ml", "map") else analysis.blocks
     idx = worst_per_block(analysis.informations, blocks)
-    return idx, build_metrics(_METRIC_KIND[kind], [cset.channels[i] for i in idx], analysis.input_dist)
+    kind = "ml" if name in ("ml", "glrt") else "map"
+    return Decoder(build_metrics(kind, [cset.channels[i] for i in idx], analysis.input_dist), name, idx)
 
 
-def decoder_rates(analysis: SetAnalysis, kind: str) -> RateReport:
-    """Rates against every member of the decoder family ``kind``, with the metrics of ``worst_metrics``."""
-    metric_idx, metrics = worst_metrics(analysis, kind)
-    rates = np.array([analysis.rate(k, metrics) for k in range(analysis.cset.size)])
-    return RateReport(kind=kind, rates=rates, minimum=float(rates.min()), metric_indices=metric_idx)
+@dataclass
+class RateReport:
+    """Per-channel achievable rates of one decoder."""
+
+    decoder: Decoder
+    rates: np.ndarray
+    minimum: float
+
+    @property
+    def kind(self) -> str:
+        return self.decoder.name
+
+
+def decoder_rates(analysis: SetAnalysis, decoder: Decoder) -> RateReport:
+    """Rates of ``decoder`` against every member of the record's set."""
+    rates = np.array([analysis.rate(k, decoder.metrics) for k in range(analysis.cset.size)])
+    return RateReport(decoder, rates, float(rates.min()))

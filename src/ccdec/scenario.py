@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .probability import Channel, Distribution
-from .rates import CompoundSet
-from .simulate import DECODERS, METHODS
+from .rates import DECODERS, CompoundSet
+from .simulate import METHODS
 from .vn import Direction, DirectionSet, embed
 
 ROW_SUM_REPAIR_TOL = 1e-9

@@ -1,12 +1,11 @@
 """Random-codebook decoder simulation.
 
 Codebooks are drawn i.i.d. from the input distribution, words are sent
-through a memoryless channel, and decoders score codewords through the
-joint empirical type of (codeword, received word): generalized linear
-decoders take the maximum over their metrics of the metric's
-type-expectation (a linear decoder is the one-metric case, whose maximum is
-that one expectation exactly), and the MMI decoder takes the mutual
-information of the type itself.
+through a memoryless channel, and a ``rates.Decoder`` scores codewords
+through the joint empirical type of (codeword, received word): the maximum
+over its metrics of the metric's type-expectation (a linear decoder has one
+metric, whose maximum is that one expectation exactly), or, with no
+metrics, the MMI decoder's mutual information of the type itself.
 
 Input symbols are drawn by inverse CDF, one uniform per symbol: the letter
 is the number of cumulative input probabilities (divided by their total)
@@ -51,11 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import Channel, Distribution, xlogy
-from .rates import FAMILIES, CompoundSet, Metric, _metric_values
+from .rates import CompoundSet, Decoder, _metric_values
 
-# The error estimators, and the decoders a simulation takes: the rate families and MMI.
+# The error estimators.
 METHODS = ("codebook", "ensemble")
-DECODERS = FAMILIES + ("mmi",)
 # Most codewords the codebook method materializes.
 CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -125,35 +123,6 @@ def transmit(channel: Channel, codeword, seed) -> np.ndarray:
     return np.minimum(y, channel.ny - 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class DecoderSpec:
-    """Which score a decoder assigns to a codeword's joint type with y."""
-
-    kind: str  # "generalized" | "mmi"
-    metrics: tuple[Metric, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("generalized", "mmi"):
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
-        if self.kind == "generalized" and len(self.metrics) < 1:
-            raise ValueError("generalized decoder needs at least one metric")
-        if self.kind == "mmi" and self.metrics:
-            raise ValueError("mmi decoder takes no metrics")
-
-    @staticmethod
-    def linear(metric: Metric) -> "DecoderSpec":
-        """The linear decoder of ``metric``: the generalized decoder with that one metric."""
-        return DecoderSpec.generalized([metric])
-
-    @staticmethod
-    def generalized(metrics) -> "DecoderSpec":
-        return DecoderSpec("generalized", tuple(metrics))
-
-    @staticmethod
-    def mmi() -> "DecoderSpec":
-        return DecoderSpec("mmi")
-
-
 def joint_type_counts(words: np.ndarray, received: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53.
 
@@ -192,21 +161,21 @@ def _type_mutual_information(counts: np.ndarray, n: int) -> np.ndarray:
     return math.log(n) + (s_xy - s_x - s_y) / n
 
 
-def score_codewords(received: np.ndarray, codebook: Codebook, spec: DecoderSpec, nx: int, ny: int) -> np.ndarray:
+def score_codewords(received: np.ndarray, codebook: Codebook, decoder: Decoder, nx: int, ny: int) -> np.ndarray:
     """Score every codeword against the received word via its joint type."""
     n = codebook.block_length
     counts = joint_type_counts(codebook.words, received, nx, ny)
-    if spec.kind == "mmi":
+    if not decoder.metrics:
         return _type_mutual_information(counts, n)
     flat = counts.reshape(codebook.num_codewords, -1)
-    return np.stack([flat @ _metric_values(d).ravel() / n for d in spec.metrics]).max(axis=0)
+    return np.stack([flat @ _metric_values(d).ravel() / n for d in decoder.metrics]).max(axis=0)
 
 
-def decode(received: np.ndarray, codebook: Codebook, spec: DecoderSpec, nx: int, ny: int) -> int:
+def decode(received: np.ndarray, codebook: Codebook, decoder: Decoder, nx: int, ny: int) -> int:
     """Index of the best-scoring codeword (lowest index within the tie band)."""
     if received.shape[0] != codebook.block_length:
         raise ValueError("received word length must match the codebook")
-    scores = score_codewords(received, codebook, spec, nx, ny)
+    scores = score_codewords(received, codebook, decoder, nx, ny)
     return int(np.argmax(scores >= _tie_threshold(float(scores.max()))))
 
 
@@ -279,7 +248,7 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _competitor_grid(y_counts, input_dist, spec, n) -> tuple[np.ndarray, np.ndarray]:
+def _competitor_grid(y_counts, input_dist, decoder, n) -> tuple[np.ndarray, np.ndarray]:
     """Every joint type an i.i.d. competitor can have with a received word: (probability, score) grids.
 
     Given the received word, the competitor's joint type is one input-count
@@ -305,7 +274,7 @@ def _competitor_grid(y_counts, input_dist, spec, n) -> tuple[np.ndarray, np.ndar
         log_fact[n_b] - log_fact[c].sum(axis=1) + xlogy(c, input_dist.probs).sum(axis=1)
         for n_b, c in zip(y_counts, cols)
     )
-    if spec.kind == "mmi":  # the sums of ``_type_mutual_information`` over the grid
+    if not decoder.metrics:  # the sums of ``_type_mutual_information`` over the grid
         t = _count_log_counts(n)
         s_xy = _outer_sum(t[c].sum(axis=1) for c in cols)
         s_x = sum(t[_outer_sum(c[:, a] for c in cols)] for a in range(nx))
@@ -313,7 +282,7 @@ def _competitor_grid(y_counts, input_dist, spec, n) -> tuple[np.ndarray, np.ndar
     else:
         per_metric = (
             _outer_sum(c @ _metric_values(d)[:, b] for b, c in enumerate(cols)) / n
-            for d in spec.metrics
+            for d in decoder.metrics
         )
         score = functools.reduce(np.maximum, per_metric)
     return np.exp(logprob), score
@@ -351,7 +320,7 @@ def format_count(count: int) -> int | str:
 
 def estimate_error(
     cset: CompoundSet,
-    spec: DecoderSpec,
+    decoder: Decoder,
     input_dist: Distribution,
     block_length: int,
     rate_bits: float,
@@ -400,12 +369,12 @@ def estimate_error(
             for t in range(trials):
                 x = _draw_symbols(input_dist.probs, n, [seed, ch_idx, t, 0])
                 y = transmit(channel, x, [seed, ch_idx, t, 2])
-                cuts[ch_idx, t] = _tie_threshold(float(score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]))
+                cuts[ch_idx, t] = _tie_threshold(float(score_codewords(y, Codebook(x[None, :]), decoder, nx, ny)[0]))
                 by_type.setdefault(tuple(np.bincount(y, minlength=ny).tolist()), []).append((ch_idx, t))
         # Build each output type's competitor grid once; its trials read their tail mass off it.
         q = np.empty((cset.size, trials))
         for y_counts, members in by_type.items():
-            prob, score = _competitor_grid(np.array(y_counts), input_dist, spec, n)
+            prob, score = _competitor_grid(np.array(y_counts), input_dist, decoder, n)
             for ch_idx, t in members:
                 q[ch_idx, t] = prob[score >= cuts[ch_idx, t]].sum()
             del prob, score  # one grid alive at a time
@@ -420,7 +389,7 @@ def estimate_error(
                 cb = generate_codebook(input_dist, n, num_codewords, [seed, ch_idx, t, 0])
                 msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(cb.num_codewords))
                 y = transmit(channel, cb.words[msg], [seed, ch_idx, t, 2])
-                scores = score_codewords(y, cb, spec, nx, ny)
+                scores = score_codewords(y, cb, decoder, nx, ny)
                 s_true = float(scores[msg])
                 cut = _tie_threshold(float(scores.max()))
                 winners = int((scores >= cut).sum())

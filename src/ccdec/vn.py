@@ -199,15 +199,6 @@ class DirectionSet:
         return DirectionSet(tuple(self.directions[i] for i in indices))
 
 
-def vn_mismatched_rate(true_dir: Direction, metric_dir: Direction, input_dist: Distribution) -> float:
-    """Projection rate ``<Ltil0, Ltil1>^2 / |Ltil1|^2`` (zero on a negative inner product)."""
-    *_, gt = _gram((true_dir, metric_dir), input_dist)
-    ip, denom = gt[0, 1], gt[1, 1]
-    if denom <= 0.0 or ip < 0.0:
-        return 0.0
-    return float(ip * ip / denom)
-
-
 @dataclass
 class VnCapacityResult:
     value: float
@@ -243,20 +234,23 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution) -> OneSidedVer
     return one_sided_verdict(gt.diagonal(), lambda k, s: 2.0 * float(gt[k, s] - gt[s, s]), "direction")
 
 
-def _case_rate(scores: np.ndarray, lift: np.ndarray, cent_norms: np.ndarray) -> float:
+def _case_rate(scores: np.ndarray, gt: np.ndarray) -> float:
     """Very-noisy rate of a generalized decoder: the minimum of its one-metric rates.
 
-    In the case ``w`` of the best case score, metric ``k`` has the threshold
-    ``tau_k = scores[w] + lift[k]`` and the rate
-    ``tau_k^2 / |Ltil_k|^2`` (0 if ``tau_k <= 0``, inf if the norm is 0).
-    Ties on the case boundary are resolved adversarially: every tied case
-    counts.
+    ``gt`` is the centered Gram of the true direction and the metric
+    directions, in that order, and ``scores[k]`` the case score of metric
+    ``k``.  Alone, metric ``k`` has the threshold ``<Ltil0, Ltil_k>``.  In
+    the case ``w`` of the best case score that threshold rises by the score
+    lead of ``w`` over ``k``: ``tau_k = <Ltil0, Ltil_k> + scores[w] - scores[k]``,
+    with the rate ``tau_k^2 / |Ltil_k|^2`` (0 if ``tau_k <= 0``, inf if the
+    norm is 0).  Ties on the case boundary are resolved adversarially: every
+    tied case counts.
     """
     smax = float(scores.max())
     winners = np.flatnonzero(scores >= smax - _CASE_TIE_TOL * max(1.0, abs(smax)))
     rates = []
     for w in winners:
-        for tau, den in zip(scores[w] + lift, cent_norms):
+        for tau, den in zip(gt[0, 1:] + (scores[w] - scores), gt.diagonal()[1:]):
             rates.append(0.0 if tau <= 0.0 else math.inf if den <= 0.0 else tau * tau / den)
     return float(min(rates))
 
@@ -265,32 +259,32 @@ def vn_glrt_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float
     """Rate of the generalized likelihood-ratio decoder with the given metrics.
 
     The case of metric ``l`` scores ``<L0, Ll> - |Ll|^2 / 2``, larger meaning
-    closer in the raw (non-centered) metric distance; its threshold lifts
-    are ``|Ll|^2 / 2`` and ``-<L0bar, Llbar>``.
+    closer in the raw (non-centered) metric distance.
     """
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_glrt_rate: need at least one metric direction")
     *_, g, gt = _gram((true_dir, *worsts), input_dist)
-    half_raw = 0.5 * g.diagonal()[1:]
-    bar_ips = g[0, 1:] - gt[0, 1:]
-    return _case_rate(g[0, 1:] - half_raw, half_raw - bar_ips, gt.diagonal()[1:])
+    return _case_rate(g[0, 1:] - 0.5 * g.diagonal()[1:], gt)
 
 
 def vn_gmap_rate(true_dir: Direction, worsts, input_dist: Distribution) -> float:
     """Rate of the generalized MAP decoder with the given metric directions.
 
-    Same structure as the likelihood-ratio case, but both the case scores
-    ``<Ltil0, Ltill> - |Ltill|^2 / 2`` and the threshold lift
-    ``|Ltill|^2 / 2`` live in centered coordinates, which is what restores
-    the one-sided guarantee.
+    Same structure as the likelihood-ratio case, but the case scores
+    ``<Ltil0, Ltill> - |Ltill|^2 / 2`` live in centered coordinates, which is
+    what restores the one-sided guarantee.
     """
     worsts = list(worsts)
     if not worsts:
         raise ValueError("vn_gmap_rate: need at least one metric direction")
     *_, gt = _gram((true_dir, *worsts), input_dist)
-    half_cent = 0.5 * gt.diagonal()[1:]
-    return _case_rate(gt[0, 1:] - half_cent, half_cent, gt.diagonal()[1:])
+    return _case_rate(gt[0, 1:] - 0.5 * gt.diagonal()[1:], gt)
+
+
+def vn_mismatched_rate(true_dir: Direction, metric_dir: Direction, input_dist: Distribution) -> float:
+    """Projection rate ``<Ltil0, Ltil1>^2 / |Ltil1|^2`` (zero on a negative inner product): the one-metric ``vn_gmap_rate``."""
+    return vn_gmap_rate(true_dir, [metric_dir], input_dist)
 
 
 def embed(direction: Direction, eps: float) -> Channel:
@@ -387,7 +381,11 @@ def mismatched_rate_gap_table(
 
 
 def vn_limit_gap(kind: str, instance: dict, eps_list) -> list[GapRow]:
-    """Dispatch on the convergence-table kind; see the specific tables."""
+    """Dispatch on the convergence-table kind; see the specific tables.  Every eps must be finite and positive."""
+    eps_list = tuple(eps_list)
+    for eps in eps_list:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
     if kind == "divergence":
         return divergence_gap_table(instance["dist"], instance["direction"], eps_list)
     if kind == "expected_log":

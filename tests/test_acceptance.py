@@ -13,7 +13,7 @@ import pytest
 from ccdec import (
     Channel,
     CompoundSet,
-    DecoderSpec,
+    Decoder,
     Direction,
     DirectionSet,
     Distribution,
@@ -236,7 +236,7 @@ class TestCriterion7:
         started = time.time()
         cset = CompoundSet((Channel.bsc(0.02), Channel.bsc(0.98)), ((0,), (1,)))
         metrics = build_metrics("map", [cset.channels[0], cset.channels[1]], UNIFORM)
-        spec = DecoderSpec.generalized(metrics)
+        decoder = Decoder(metrics)
         capacity_bits = mutual_information(UNIFORM, cset.channels[0]) / math.log(2)
 
         # competitors are integrated analytically per trial (fresh-codebook
@@ -245,14 +245,14 @@ class TestCriterion7:
         errors = {}
         for n in (16, 32, 64):
             stats = estimate_error(
-                cset, spec, UNIFORM, n, 0.4, 1000, seed=2024, method="ensemble"
+                cset, decoder, UNIFORM, n, 0.4, 1000, seed=2024, method="ensemble"
             )
             errors[n] = max(s.mean_error_prob for s in stats)
         decreasing = errors[16] > errors[32] > errors[64]
         small_at_64 = errors[64] <= 0.1
 
         conv_stats = estimate_error(
-            cset, spec, UNIFORM, 64, 1.2 * capacity_bits, 1000, seed=2024, method="ensemble"
+            cset, decoder, UNIFORM, 64, 1.2 * capacity_bits, 1000, seed=2024, method="ensemble"
         )
         converse = min(s.mean_error_prob for s in conv_stats) >= 0.5
 
@@ -279,23 +279,23 @@ class TestCriterion8:
                 yield transmit(w, cb.words[msg], [78, t])
 
         ml_map_same = all(
-            decode(y, cb, DecoderSpec.linear(ml), 2, 2)
-            == decode(y, cb, DecoderSpec.linear(mp), 2, 2)
+            decode(y, cb, Decoder((ml,)), 2, 2)
+            == decode(y, cb, Decoder((mp,)), 2, 2)
             for y in receptions(1000)
         )
 
         d = Metric(rng.normal(size=(2, 2)))
         k1_same = all(
-            decode(y, cb, DecoderSpec.linear(d), 2, 2)
-            == decode(y, cb, DecoderSpec.generalized([d]), 2, 2)
+            decode(y, cb, Decoder((d,)), 2, 2)
+            == decode(y, cb, Decoder([d]), 2, 2)
             for y in receptions(1000)
         )
 
         ds = [Metric(rng.normal(size=(2, 2))) for _ in range(3)]
         f = rng.normal(size=2)
         shift_same = all(
-            decode(y, cb, DecoderSpec.generalized(ds), 2, 2)
-            == decode(y, cb, DecoderSpec.generalized([m.shifted(f) for m in ds]), 2, 2)
+            decode(y, cb, Decoder(ds), 2, 2)
+            == decode(y, cb, Decoder([m.shifted(f) for m in ds]), 2, 2)
             for y in receptions(1000)
         )
 

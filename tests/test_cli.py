@@ -13,7 +13,7 @@ import ccdec.rates
 from ccdec.cli import main
 from ccdec.probability import mutual_information
 from ccdec.projection import INFEASIBLE_SLACK, kl_projection
-from ccdec.rates import SetAnalysis, decoder_rates
+from ccdec.rates import SetAnalysis, decoder_rates, family
 from ccdec.scenario import BUILTIN_SCENARIOS, _stable, load_scenario
 
 LOG2 = math.log(2.0)
@@ -284,12 +284,13 @@ class TestLibraryAgreesWithAnalyze:
     @pytest.mark.parametrize("kind", ["ml", "map", "glrt", "gmap"])
     def test_decoder_rates_match_the_report(self, traced_analyze, kind):
         res, scenario, _ = traced_analyze
-        rep = decoder_rates(SetAnalysis(scenario.channels, scenario.input_dist), kind)
+        analysis = SetAnalysis(scenario.channels, scenario.input_dist)
+        rep = decoder_rates(analysis, family(analysis, kind))
         reported = res[f"rates_{kind}"]
         assert [reported[f"channel[{k}]"]["value"] for k in range(len(rep.rates))] == [
             _stable(float(r)) for r in rep.rates
         ]
-        assert reported["metric_channels"]["value"] == ",".join(map(str, rep.metric_indices))
+        assert reported["metric_channels"]["value"] == ",".join(map(str, rep.decoder.channels))
 
 
 class TestAnalyzeComputesEachQuantityOnce:
@@ -359,6 +360,11 @@ class TestVnSweep:
     def test_inadmissible_eps_exits_2(self, capsys):
         code, _ = run(capsys, "vn", "sweep", "--eps", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["0", "-0.05", "nan"])
+    def test_nonpositive_or_nan_eps_exits_2_naming_eps(self, capsys, eps):
+        assert main(["vn", "sweep", "--eps", eps]) == 2
+        assert f"error: eps must be finite and positive, got {float(eps)}" in capsys.readouterr().err
 
 
 class TestVnBlind:

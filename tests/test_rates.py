@@ -18,7 +18,7 @@ from ccdec import (
     mutual_information,
     worst_channel,
 )
-from ccdec.rates import SetAnalysis, min_with_ties, partition, worst_metrics, worst_per_block
+from ccdec.rates import SetAnalysis, family, min_with_ties, partition, worst_per_block
 from conftest import bsc_capacity_nats, random_channel, random_distribution, segment_toward_noise
 
 UNIFORM = Distribution.uniform(2)
@@ -123,11 +123,10 @@ class TestLinearIsOneMetricGeneralized:
             cset = segment_toward_noise(rng, 3, 3, 4)
             analysis = SetAnalysis(cset, random_distribution(rng, 3))
             assert analysis.blocks == (tuple(range(cset.size)),)
-            idx_lin, metrics_lin = worst_metrics(analysis, linear)
-            idx_gen, metrics_gen = worst_metrics(analysis, generalized)
-            assert idx_lin == idx_gen
-            assert len(metrics_lin) == len(metrics_gen) == 1
-            assert np.array_equal(metrics_lin[0].values, metrics_gen[0].values)
+            lin, gen = family(analysis, linear), family(analysis, generalized)
+            assert lin.channels == gen.channels
+            assert len(lin.metrics) == len(gen.metrics) == 1
+            assert np.array_equal(lin.metrics[0].values, gen.metrics[0].values)
 
 
 class TestGeneralizedBlocks:
@@ -137,17 +136,17 @@ class TestGeneralizedBlocks:
         cset = CompoundSet(tuple(random_channel(rng, 3, 3) for _ in range(4)), ((0, 2), (1, 3)))
         analysis = SetAnalysis(cset, random_distribution(rng, 3))
         assert analysis.blocks == ((0, 2), (1, 3))
-        idx, metrics = worst_metrics(analysis, "gmap")
-        assert idx == worst_per_block(analysis.informations, ((0, 2), (1, 3)))
-        assert len(metrics) == 2
+        gmap = family(analysis, "gmap")
+        assert gmap.channels == worst_per_block(analysis.informations, ((0, 2), (1, 3)))
+        assert len(gmap.metrics) == 2
 
     def test_undeclared_set_takes_the_cover(self):
         cset = CompoundSet((Channel.bsc(0.1), Channel.bsc(0.9)))
         analysis = SetAnalysis(cset, UNIFORM)
         assert analysis.cover == ((0,), (1,))
         assert analysis.blocks == analysis.cover
-        assert worst_metrics(analysis, "glrt")[0] == (0, 1)
-        assert worst_metrics(analysis, "ml")[0] == (0,)
+        assert family(analysis, "glrt").channels == (0, 1)
+        assert family(analysis, "ml").channels == (0,)
 
 
 class TestFullSetLikelihoodFamily:

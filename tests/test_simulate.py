@@ -11,7 +11,7 @@ import ccdec.simulate
 from ccdec import (
     Channel,
     CompoundSet,
-    DecoderSpec,
+    Decoder,
     Distribution,
     Metric,
     build_metrics,
@@ -23,6 +23,7 @@ from ccdec import (
     transmit,
 )
 from ccdec.probability import xlogy
+from ccdec.rates import SetAnalysis, family
 from ccdec.simulate import (
     METHODS,
     Codebook,
@@ -41,9 +42,9 @@ from ccdec.simulate import (
 UNIFORM = Distribution.uniform(2)
 
 
-def _exceedance(y_counts, input_dist, spec, n, threshold):
+def _exceedance(y_counts, input_dist, decoder, n, threshold):
     """Chance that an i.i.d. competitor scores at least ``threshold``, off a grid built for this call alone."""
-    prob, score = _competitor_grid(y_counts, input_dist, spec, n)
+    prob, score = _competitor_grid(y_counts, input_dist, decoder, n)
     return float(prob[score >= threshold].sum())
 
 
@@ -129,33 +130,33 @@ class TestTransmit:
 class TestDecode:
     def test_single_codeword(self):
         cb = Codebook(np.array([[0, 1, 0]]))
-        spec = DecoderSpec.linear(Metric(np.log(Channel.bsc(0.1).matrix)))
-        assert decode(np.array([1, 1, 0]), cb, spec, 2, 2) == 0
+        decoder = Decoder((Metric(np.log(Channel.bsc(0.1).matrix)),))
+        assert decode(np.array([1, 1, 0]), cb, decoder, 2, 2) == 0
 
     def test_noiseless_matched_recovery(self):
         cb = generate_codebook(UNIFORM, 24, 16, seed=2)
-        spec = DecoderSpec.linear(Metric(np.log(Channel.bsc(0.05).matrix)))
+        decoder = Decoder((Metric(np.log(Channel.bsc(0.05).matrix)),))
         for m in range(16):
             y = transmit(Channel.identity(2), cb.words[m], seed=m)
-            assert decode(y, cb, spec, 2, 2) == m
+            assert decode(y, cb, decoder, 2, 2) == m
 
     def test_type_based_scores_match_symbolwise_sum(self, rng):
         cb = generate_codebook(UNIFORM, 40, 64, seed=4)
         y = rng.integers(0, 2, size=40)
         d = Metric(rng.normal(size=(2, 2)))
-        scores = score_codewords(y, cb, DecoderSpec.linear(d), 2, 2)
+        scores = score_codewords(y, cb, Decoder((d,)), 2, 2)
         direct = d.values[cb.words, y[None, :]].mean(axis=1)
         assert np.abs(scores - direct).max() <= 1e-12
 
     def test_shift_invariance_of_decisions(self, rng):
         d = Metric(rng.normal(size=(2, 2)))
         f = rng.normal(size=2)
-        spec0 = DecoderSpec.linear(d)
-        spec1 = DecoderSpec.linear(d.shifted(f))
+        decoder0 = Decoder((d,))
+        decoder1 = Decoder((d.shifted(f),))
         cb = generate_codebook(UNIFORM, 32, 64, seed=6)
         for t in range(1000):
             y = np.random.default_rng(t).integers(0, 2, size=32)
-            assert decode(y, cb, spec0, 2, 2) == decode(y, cb, spec1, 2, 2)
+            assert decode(y, cb, decoder0, 2, 2) == decode(y, cb, decoder1, 2, 2)
 
     def test_ml_map_identical_decisions(self, rng):
         w = Channel.bsc(0.12)
@@ -164,8 +165,8 @@ class TestDecode:
         cb = generate_codebook(UNIFORM, 32, 64, seed=8)
         for t in range(1000):
             y = np.random.default_rng(1000 + t).integers(0, 2, size=32)
-            assert decode(y, cb, DecoderSpec.linear(ml), 2, 2) == decode(
-                y, cb, DecoderSpec.linear(mp), 2, 2
+            assert decode(y, cb, Decoder((ml,)), 2, 2) == decode(
+                y, cb, Decoder((mp,)), 2, 2
             )
 
     def test_generalized_with_one_metric_is_linear(self, rng):
@@ -173,8 +174,8 @@ class TestDecode:
         cb = generate_codebook(UNIFORM, 24, 32, seed=12)
         for t in range(200):
             y = np.random.default_rng(2000 + t).integers(0, 2, size=24)
-            lin = decode(y, cb, DecoderSpec.linear(d), 2, 2)
-            gen = decode(y, cb, DecoderSpec.generalized([d]), 2, 2)
+            lin = decode(y, cb, Decoder((d,)), 2, 2)
+            gen = decode(y, cb, Decoder([d]), 2, 2)
             assert lin == gen
 
     def test_linear_scores_are_one_metric_generalized_bitwise(self, rng):
@@ -182,31 +183,32 @@ class TestDecode:
         d = Metric(rng.normal(size=(3, 2)))
         cb = generate_codebook(p, 24, 64, seed=14)
         y = rng.integers(0, 2, size=24)
-        lin = score_codewords(y, cb, DecoderSpec.linear(d), 3, 2)
-        gen = score_codewords(y, cb, DecoderSpec.generalized([d]), 3, 2)
+        lin = score_codewords(y, cb, Decoder((d,)), 3, 2)
+        gen = score_codewords(y, cb, Decoder([d]), 3, 2)
         expectation = joint_type_counts(cb.words, y, 3, 2).reshape(64, -1) @ d.values.ravel() / 24
         assert lin.tobytes() == gen.tobytes() == expectation.tobytes()
 
     def test_no_separate_linear_kind(self):
         d = Metric(np.zeros((2, 2)))
-        assert DecoderSpec.linear(d) == DecoderSpec.generalized([d])
+        assert Decoder((d,)) == Decoder([d])
+        analysis = SetAnalysis(CompoundSet((Channel.bsc(0.1),)), UNIFORM)
         with pytest.raises(ValueError, match="unknown decoder kind 'linear'"):
-            DecoderSpec("linear", (d,))
+            family(analysis, "linear")
 
     def test_generalized_uniform_shift_invariance(self, rng):
         ds = [Metric(rng.normal(size=(2, 2))) for _ in range(3)]
         f = rng.normal(size=2)
         cb = generate_codebook(UNIFORM, 24, 32, seed=13)
-        spec0 = DecoderSpec.generalized(ds)
-        spec1 = DecoderSpec.generalized([d.shifted(f) for d in ds])
+        decoder0 = Decoder(ds)
+        decoder1 = Decoder([d.shifted(f) for d in ds])
         for t in range(200):
             y = np.random.default_rng(3000 + t).integers(0, 2, size=24)
-            assert decode(y, cb, spec0, 2, 2) == decode(y, cb, spec1, 2, 2)
+            assert decode(y, cb, decoder0, 2, 2) == decode(y, cb, decoder1, 2, 2)
 
     def test_mmi_score_is_type_mutual_information(self):
         cb = Codebook(np.array([[0, 0, 1, 1], [0, 1, 0, 1]]))
         y = np.array([0, 0, 1, 1])
-        scores = score_codewords(y, cb, DecoderSpec.mmi(), 2, 2)
+        scores = score_codewords(y, cb, Decoder(), 2, 2)
         assert scores[0] == pytest.approx(math.log(2), abs=1e-12)  # perfect correlation
         assert scores[1] == pytest.approx(0.0, abs=1e-12)  # independent type
 
@@ -221,7 +223,7 @@ class TestDecode:
                 xlogy(p, p).sum(axis=(1, 2)) - xlogy(px, px).sum(axis=1) - xlogy(py, py).sum(axis=1)
             )
             expected = int(np.argmax(want >= _tie_threshold(float(want.max()))))
-            assert decode(y, cb, DecoderSpec.mmi(), nx, ny) == expected
+            assert decode(y, cb, Decoder(), nx, ny) == expected
 
 
 class TestJointTypes:
@@ -297,28 +299,28 @@ class TestWilson:
 class TestEstimateError:
     def test_noiseless_sanity(self):
         cset = CompoundSet((Channel.bsc(0.001),))
-        spec = DecoderSpec.linear(Metric(np.log(Channel.bsc(0.001).matrix)))
-        stats = estimate_error(cset, spec, UNIFORM, 24, 0.1, 100, seed=5)
+        decoder = Decoder((Metric(np.log(Channel.bsc(0.001).matrix)),))
+        stats = estimate_error(cset, decoder, UNIFORM, 24, 0.1, 100, seed=5)
         assert stats[0].errors <= 1
 
     def test_determinism(self):
         cset = CompoundSet((Channel.bsc(0.05),))
-        spec = DecoderSpec.linear(Metric(np.log(Channel.bsc(0.05).matrix)))
-        a = estimate_error(cset, spec, UNIFORM, 16, 0.25, 50, seed=7)
-        b = estimate_error(cset, spec, UNIFORM, 16, 0.25, 50, seed=7)
+        decoder = Decoder((Metric(np.log(Channel.bsc(0.05).matrix)),))
+        a = estimate_error(cset, decoder, UNIFORM, 16, 0.25, 50, seed=7)
+        b = estimate_error(cset, decoder, UNIFORM, 16, 0.25, 50, seed=7)
         assert a == b
 
     def test_codeword_cap_enforced(self):
         cset = CompoundSet((Channel.bsc(0.05),))
-        spec = DecoderSpec.mmi()
+        decoder = Decoder()
         with pytest.raises(ValueError):
-            estimate_error(cset, spec, UNIFORM, 64, 0.4, 10, seed=1)
+            estimate_error(cset, decoder, UNIFORM, 64, 0.4, 10, seed=1)
 
     def test_ensemble_handles_huge_codebooks(self):
         cset = CompoundSet((Channel.bsc(0.05),))
-        spec = DecoderSpec.linear(Metric(np.log(Channel.bsc(0.05).matrix)))
+        decoder = Decoder((Metric(np.log(Channel.bsc(0.05).matrix)),))
         stats = estimate_error(
-            cset, spec, UNIFORM, 64, 1.1, 20, seed=1, method="ensemble"
+            cset, decoder, UNIFORM, 64, 1.1, 20, seed=1, method="ensemble"
         )
         assert stats[0].num_codewords > 2**64
         assert stats[0].mean_error_prob > 0.5  # far above capacity
@@ -327,9 +329,9 @@ class TestEstimateError:
         # same estimand: fresh-codebook ensemble average error
         cset = CompoundSet((Channel.bsc(0.08),))
         metrics = build_metrics("map", [Channel.bsc(0.08)], UNIFORM)
-        spec = DecoderSpec.generalized(metrics)
-        cb = estimate_error(cset, spec, UNIFORM, 16, 0.35, 3000, seed=21)[0]
-        en = estimate_error(cset, spec, UNIFORM, 16, 0.35, 3000, seed=22, method="ensemble")[0]
+        decoder = Decoder(metrics)
+        cb = estimate_error(cset, decoder, UNIFORM, 16, 0.35, 3000, seed=21)[0]
+        en = estimate_error(cset, decoder, UNIFORM, 16, 0.35, 3000, seed=22, method="ensemble")[0]
         sigma = math.sqrt(cb.error_rate * (1 - cb.error_rate) / cb.trials)
         assert abs(en.mean_error_prob - cb.error_rate) <= 4 * sigma + 0.01
 
@@ -340,9 +342,9 @@ class TestEstimateError:
         cset = CompoundSet((Channel.bsc(0.05), Channel.bsc(0.95)), ((0,), (1,)))
         metrics = build_metrics("map", [Channel.bsc(0.05), Channel.bsc(0.95)], UNIFORM)
         gmap = estimate_error(
-            cset, DecoderSpec.generalized(metrics), UNIFORM, 32, 0.3, 1500, seed=31
+            cset, Decoder(metrics), UNIFORM, 32, 0.3, 1500, seed=31
         )
-        mmi = estimate_error(cset, DecoderSpec.mmi(), UNIFORM, 32, 0.3, 1500, seed=31)
+        mmi = estimate_error(cset, Decoder(), UNIFORM, 32, 0.3, 1500, seed=31)
         for g, m in zip(gmap, mmi):
             sigma = math.sqrt(max(g.error_rate * (1 - g.error_rate), 1e-4) / g.trials)
             assert m.error_rate <= g.error_rate + 3 * sigma
@@ -350,7 +352,7 @@ class TestEstimateError:
     def test_rate_must_be_positive(self):
         cset = CompoundSet((Channel.bsc(0.05),))
         with pytest.raises(ValueError):
-            estimate_error(cset, DecoderSpec.mmi(), UNIFORM, 16, 0.0, 10, seed=1)
+            estimate_error(cset, Decoder(), UNIFORM, 16, 0.0, 10, seed=1)
 
     @pytest.mark.parametrize("method", ["codebook", "ensemble"])
     @pytest.mark.parametrize(
@@ -366,19 +368,19 @@ class TestEstimateError:
     def test_inputs_validated_up_front(self, method, n, rate, trials, message):
         cset = CompoundSet((Channel.bsc(0.05),))
         with pytest.raises(ValueError, match=message):
-            estimate_error(cset, DecoderSpec.mmi(), UNIFORM, n, rate, trials, seed=1, method=method)
+            estimate_error(cset, Decoder(), UNIFORM, n, rate, trials, seed=1, method=method)
 
     @pytest.mark.parametrize("method", ["codebook", "ensemble"])
     def test_zero_trials_allowed(self, method):
         cset = CompoundSet((Channel.bsc(0.05),))
-        (st,) = estimate_error(cset, DecoderSpec.mmi(), UNIFORM, 16, 0.25, 0, seed=1, method=method)
+        (st,) = estimate_error(cset, Decoder(), UNIFORM, 16, 0.25, 0, seed=1, method=method)
         assert (st.trials, st.errors, st.wilson_low, st.wilson_high) == (0, 0, 0.0, 1.0)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_letter_input(self, method):
         # every codeword is the constant word, so every trial is a tie
         cset = CompoundSet((Channel(np.array([[0.2, 0.3, 0.5]])),))
-        stats = estimate_error(cset, DecoderSpec.mmi(), Distribution(np.array([1.0])), 8, 0.3, 5, seed=2, method=method)
+        stats = estimate_error(cset, Decoder(), Distribution(np.array([1.0])), 8, 0.3, 5, seed=2, method=method)
         assert stats[0].errors == 5
         if method == "ensemble":
             assert stats[0].mean_error_prob == 1.0
@@ -390,13 +392,13 @@ class TestEstimateError:
         # n * rate = 1100.8 bits: 2^(n * rate) overflows a float; M is 2^0.8 as a float times 2^1100
         w = Channel.bsc(0.01)
         cset = CompoundSet((w,))
-        spec = DecoderSpec.linear(Metric(np.log(w.matrix)))
+        decoder = Decoder((Metric(np.log(w.matrix)),))
         n, rate = 1376, 0.8
-        (st,) = estimate_error(cset, spec, UNIFORM, n, rate, 3, seed=1, method="ensemble")
+        (st,) = estimate_error(cset, decoder, UNIFORM, n, rate, 3, seed=1, method="ensemble")
         assert st.num_codewords == Fraction(2.0 ** (n * rate - 1100)) * 2**1100
         assert 0.0 <= st.mean_error_prob < 1e-6  # rate 0.8 bits, capacity 0.92 bits
         with pytest.raises(ValueError, match="exceeds the cap"):
-            estimate_error(cset, spec, UNIFORM, n, rate, 3, seed=1)
+            estimate_error(cset, decoder, UNIFORM, n, rate, 3, seed=1)
 
     def test_competitor_union_past_float_range(self):
         # (M - 1) q = 1 with M - 1 = 2^1050 beyond any float
@@ -419,11 +421,11 @@ class TestEstimateError:
         worsts = [w[1], w[2]]
         trials = 1500
         glrt = estimate_error(
-            truth, DecoderSpec.generalized(build_metrics("ml", worsts, UNIFORM)),
+            truth, Decoder(build_metrics("ml", worsts, UNIFORM)),
             UNIFORM, 64, 0.008, trials, seed=7, method="ensemble",
         )[0]
         gmap = estimate_error(
-            truth, DecoderSpec.generalized(build_metrics("map", worsts, UNIFORM)),
+            truth, Decoder(build_metrics("map", worsts, UNIFORM)),
             UNIFORM, 64, 0.008, trials, seed=7, method="ensemble",
         )[0]
         sigma = math.sqrt(glrt.error_rate * (1 - glrt.error_rate) / trials) + math.sqrt(
@@ -454,20 +456,16 @@ class TestCompetitorExceedance:
         p = Distribution(np.array(probs))
         num_metrics = {"linear": 1, "generalized": 3, "mmi": 0}[kind]
         metrics = [Metric(rng.normal(size=(self.NX, self.NY))) for _ in range(num_metrics)]
-        spec = {
-            "linear": lambda: DecoderSpec.linear(metrics[0]),
-            "generalized": lambda: DecoderSpec.generalized(metrics),
-            "mmi": DecoderSpec.mmi,
-        }[kind]()
+        decoder = Decoder(metrics)  # one metric is linear, none is MMI
         words = Codebook(np.array(list(itertools.product(range(self.NX), repeat=self.N))))
         word_probs = p.probs[words.words].prod(axis=1)
         for y in (np.array([0, 1, 1, 0]), np.array([1, 1, 1, 1]), np.array([0, 0, 0, 1])):
-            scores = score_codewords(y, words, spec, self.NX, self.NY)
+            scores = score_codewords(y, words, decoder, self.NX, self.NY)
             y_counts = np.bincount(y, minlength=self.NY)
             for s in np.unique(scores):
                 cut = _tie_threshold(float(s))
                 want = word_probs[scores >= cut].sum()
-                got = _exceedance(y_counts, p, spec, self.N, cut)
+                got = _exceedance(y_counts, p, decoder, self.N, cut)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_type_budget_bounds_binary_inputs(self):
@@ -478,7 +476,7 @@ class TestCompetitorExceedance:
         try:
             with pytest.raises(ValueError, match="use method='codebook'"):
                 estimate_error(
-                    CompoundSet((w,)), DecoderSpec.mmi(), UNIFORM, 256, 0.1, 20, seed=1, method="ensemble"
+                    CompoundSet((w,)), Decoder(), UNIFORM, 256, 0.1, 20, seed=1, method="ensemble"
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -490,7 +488,7 @@ class TestOutputTypeGrouping:
     """Trials read off their output type's shared grid agree exactly with trials computed one by one."""
 
     @staticmethod
-    def one_by_one(cset, spec, p, n, rate_bits, trials, seed):
+    def one_by_one(cset, decoder, p, n, rate_bits, trials, seed):
         num_codewords = math.ceil(2.0 ** (n * rate_bits))
         nx, ny = cset.channels[0].nx, cset.channels[0].ny
         out, types = [], set()
@@ -499,10 +497,10 @@ class TestOutputTypeGrouping:
             for t in range(trials):
                 x = _draw_symbols(p.probs, n, [seed, ch, t, 0])
                 y = transmit(w, x, [seed, ch, t, 2])
-                s_true = score_codewords(y, Codebook(x[None, :]), spec, nx, ny)[0]
+                s_true = score_codewords(y, Codebook(x[None, :]), decoder, nx, ny)[0]
                 y_counts = np.bincount(y, minlength=ny)
                 types.add((ch, tuple(y_counts.tolist())))
-                q = _exceedance(y_counts, p, spec, n, _tie_threshold(float(s_true)))
+                q = _exceedance(y_counts, p, decoder, n, _tie_threshold(float(s_true)))
                 e = _any_competitor_reaches(q, num_codewords)
                 prob_sum += e
                 if np.random.default_rng([seed, ch, t, 3]).random() < e:
@@ -530,11 +528,11 @@ class TestOutputTypeGrouping:
         channels = [Channel(np.array(m)) for m in matrices]
         cset = CompoundSet(tuple(channels))
         p = Distribution(np.array(probs))
-        spec = DecoderSpec.mmi() if decoder == "mmi" else DecoderSpec.generalized(build_metrics("map", channels, p))
+        metrics = () if decoder == "mmi" else build_metrics("map", channels, p)
         trials = 60
-        want, types = self.one_by_one(cset, spec, p, n, rate_bits, trials, seed=4)
+        want, types = self.one_by_one(cset, Decoder(metrics), p, n, rate_bits, trials, seed=4)
         assert len(types) < len(channels) * trials  # output types repeat, so trials share grids
-        got = estimate_error(cset, spec, p, n, rate_bits, trials, seed=4, method="ensemble")
+        got = estimate_error(cset, Decoder(metrics), p, n, rate_bits, trials, seed=4, method="ensemble")
         assert [(st.errors, st.mean_error_prob) for st in got] == want
         assert any(0 < errors < trials for errors, _ in want)
 
@@ -544,8 +542,8 @@ class TestOutputTypeGrouping:
         channels = [Channel(np.array(m)) for m in matrices]
         cset = CompoundSet(tuple(channels))
         p = Distribution(np.array(probs))
-        spec = DecoderSpec.generalized(build_metrics("map", channels, p))
-        _, types = self.one_by_one(cset, spec, p, n, rate_bits, 60, seed=4)
+        decoder = Decoder(build_metrics("map", channels, p))
+        _, types = self.one_by_one(cset, decoder, p, n, rate_bits, 60, seed=4)
         built = []
 
         def spy(y_counts, *args):
@@ -553,7 +551,7 @@ class TestOutputTypeGrouping:
             return _competitor_grid(y_counts, *args)
 
         monkeypatch.setattr(ccdec.simulate, "_competitor_grid", spy)
-        estimate_error(cset, spec, p, n, rate_bits, 60, seed=4, method="ensemble")
+        estimate_error(cset, decoder, p, n, rate_bits, 60, seed=4, method="ensemble")
         assert sorted(built) == sorted({y_counts for _, y_counts in types})
         assert len(built) < len(types)  # the channels share output types
 
