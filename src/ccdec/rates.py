@@ -423,7 +423,7 @@ class SetAnalysis:
         """
         ds = [_metric_values(d) for d in metrics]
         if not ds:
-            raise ValueError("generalized_rate: need at least one metric")
+            raise ValueError("SetAnalysis.rate: need at least one metric")
         mu0 = self.joints[k]
         row, col = mu0.x_marginal, mu0.y_marginal
         threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
@@ -546,6 +546,12 @@ class RateReport:
 
 
 def decoder_rates(analysis: SetAnalysis, decoder: Decoder) -> RateReport:
-    """Rates of ``decoder`` against every member of the record's set."""
-    rates = np.array([analysis.rate(k, decoder.metrics) for k in range(analysis.cset.size)])
+    """Rates of ``decoder`` against every member of the record's set.
+
+    MMI (no metrics) achieves ``I(P, W_k)`` on member ``k``.
+    """
+    if not decoder.metrics:
+        rates = analysis.informations.copy()
+    else:
+        rates = np.array([analysis.rate(k, decoder.metrics) for k in range(analysis.cset.size)])
     return RateReport(decoder, rates, float(rates.min()))

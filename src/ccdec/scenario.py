@@ -192,8 +192,8 @@ def _parse_vn(raw, path: str) -> VnBlock:
         eps = tuple(float(e) for e in raw.get("epsilons", (0.1, 0.05, 0.025)))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}.epsilons", f"expected a list of numbers: {exc}") from None
-    if any(e <= 0 for e in eps):
-        raise ScenarioError(f"{path}.epsilons", "epsilons must be positive")
+    if not all(math.isfinite(e) and e > 0 for e in eps):
+        raise ScenarioError(f"{path}.epsilons", "epsilons must be finite and positive")
     return VnBlock(noise=noise, directions=dset, epsilons=eps)
 
 

@@ -10,19 +10,29 @@ metrics, the MMI decoder's mutual information of the type itself.
 Input symbols are drawn by inverse CDF, one uniform per symbol: the letter
 is the number of cumulative input probabilities (divided by their total)
 at or below the uniform, which is the stream ``Generator.choice`` gives for
-the same seed.  The letters start as the comparison with the first
-threshold and each later comparison is added in place.  Joint types are
-counted as one matrix product per input letter ``a >= 1``,
-``(words == a) @ onehot(received)``; letter 0's counts are the received
-word's letter counts minus the others.  Every count is an integer in
-``0..n``, so the MMI score reads ``k log k`` from one table of ``n + 1``
-entries: ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``.
+the same seed.  So a letter is ``>= a`` exactly when its uniform is
+``>= thresholds[a - 1]``, and joint types are counted from these
+comparisons: ``(words >= a) @ onehot(received)`` counts, per output letter,
+the letters ``>= a``, and differences of consecutive counts give each
+letter's row.  Every count is an integer in ``0..n``, so the MMI score
+reads ``k log k`` from one table of ``n + 1`` entries:
+``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``.
 
 Two error estimators share the same estimand (the ensemble-average error of
 a fresh random codebook per trial):
 
-* ``method="codebook"`` materializes the codebook and decodes, which caps
-  the number of codewords at desk scale;
+* ``method="codebook"`` decodes an explicit random codebook, which caps the
+  number of codewords at desk scale.  The codebook is never materialized:
+  word ``i`` of trial ``t`` is row ``i`` of its stream's ``(M, n)``
+  uniforms.  The trial draws the true word ``msg`` first, from a second bit
+  generator advanced ``msg * n`` steps, then streams the competitors through
+  one buffer, allocated once per call, in blocks of ``_FIRST_BLOCK`` rows and
+  doubling, counting their joint types straight from the uniforms.  It stops
+  at the first block whose best score ``s`` has ``_tie_threshold(s)`` above
+  the true score: ``_tie_threshold`` is nondecreasing, so the cut of the
+  whole codebook is above the true score too, and the trial is an error and
+  not a tie whatever the unscanned rows hold.  Other trials scan every row
+  and apply the tie rule below to all the scores;
 * ``method="ensemble"`` draws only the true codeword and the channel output,
   then integrates the remaining ``M - 1`` i.i.d. competitors analytically.
   Conditioned on the received word, the competitor's joint type has
@@ -54,9 +64,10 @@ from .rates import CompoundSet, Decoder, _metric_values
 
 # The error estimators.
 METHODS = ("codebook", "ensemble")
-# Most codewords the codebook method materializes.
+# Most codewords the codebook method draws per trial.
 CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
+_FIRST_BLOCK = 256  # codewords in a trial's first scanned block; each later block doubles
 _TYPE_BUDGET = 2_000_000  # joint types one output type's competitor grid may hold
 _DECIMAL_LIMIT = 10**4300  # Python's default int-to-str conversion limit is 4300 digits
 
@@ -100,11 +111,19 @@ def generate_codebook(input_dist: Distribution, block_length: int, num_codewords
     return Codebook(_draw_symbols(input_dist.probs, (num_codewords, block_length), seed))
 
 
-def _draw_symbols(probs: np.ndarray, shape, seed) -> np.ndarray:
-    """I.i.d. letters by inverse CDF, one uniform each: the stream of ``Generator.choice``."""
+def _thresholds(probs: np.ndarray) -> np.ndarray:
+    """The inverse-CDF cuts: a uniform ``u`` draws the letter ``#{c : u >= c}``."""
     cdf = np.cumsum(probs)
+    return cdf[:-1] / cdf[-1]
+
+
+def _draw_symbols(probs: np.ndarray, shape, seed) -> np.ndarray:
+    """I.i.d. letters by inverse CDF, one uniform each: the stream of ``Generator.choice``.
+
+    ``seed`` is anything ``np.random.default_rng`` takes, a bit generator too.
+    """
     u = np.random.default_rng(seed).random(shape)
-    thresholds = cdf[:-1] / cdf[-1]
+    thresholds = _thresholds(probs)
     if not thresholds.size:  # one letter
         return np.zeros(shape, dtype=np.int64)
     letters = (u >= thresholds[0]).astype(np.int64)
@@ -124,16 +143,26 @@ def transmit(channel: Channel, codeword, seed) -> np.ndarray:
 
 
 def joint_type_counts(words: np.ndarray, received: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53.
-
-    Letters ``1..nx-1`` are counted by one-hot products; letter 0's row is
-    the received word's letter counts minus theirs.
-    """
+    """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53."""
     onehot = (received[:, None] == np.arange(ny)).astype(float)
-    counts = np.empty((words.shape[0], nx, ny), dtype=np.int64)
-    for a in range(1, nx):
-        counts[:, a] = (words == a).astype(float) @ onehot
-    counts[:, 0] = onehot.sum(axis=0) - counts[:, 1:].sum(axis=1)
+    counts = _count_joint_types(words, range(1, nx), onehot, np.empty(words.shape))
+    return counts.astype(np.int64)
+
+
+def _count_joint_types(source: np.ndarray, cuts, onehot: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Joint counts (m, nx, ny), as floats, of the letters ``#{c in cuts : source >= c}`` with a received word.
+
+    ``onehot`` is the received word's (n, ny) indicator matrix and ``buf`` an
+    (m, n) float scratch array.  Row ``a`` of each type first holds the
+    count of letters ``>= a`` per output letter: the output counts for
+    ``a = 0``, else one product ``(source >= cuts[a - 1]) @ onehot``.
+    Subtracting row ``a + 1`` leaves the letters equal to ``a``.
+    """
+    counts = np.empty((source.shape[0], len(cuts) + 1, onehot.shape[1]))
+    counts[:, 0] = onehot.sum(axis=0)
+    for a, c in enumerate(cuts, start=1):
+        counts[:, a] = np.greater_equal(source, c, out=buf) @ onehot
+    counts[:, :-1] -= counts[:, 1:]
     return counts
 
 
@@ -163,11 +192,14 @@ def _type_mutual_information(counts: np.ndarray, n: int) -> np.ndarray:
 
 def score_codewords(received: np.ndarray, codebook: Codebook, decoder: Decoder, nx: int, ny: int) -> np.ndarray:
     """Score every codeword against the received word via its joint type."""
-    n = codebook.block_length
-    counts = joint_type_counts(codebook.words, received, nx, ny)
+    return _score_types(joint_type_counts(codebook.words, received, nx, ny), decoder, codebook.block_length)
+
+
+def _score_types(counts: np.ndarray, decoder: Decoder, n: int) -> np.ndarray:
+    """Each joint type's score: the best metric's type-expectation, or with no metrics its mutual information."""
     if not decoder.metrics:
-        return _type_mutual_information(counts, n)
-    flat = counts.reshape(codebook.num_codewords, -1)
+        return _type_mutual_information(counts.astype(np.int64, copy=False), n)
+    flat = counts.reshape(counts.shape[0], -1)
     return np.stack([flat @ _metric_values(d).ravel() / n for d in decoder.metrics]).max(axis=0)
 
 
@@ -217,6 +249,39 @@ class TrialStats:
     def __post_init__(self):
         if self.errors > self.trials:
             raise ValueError("errors cannot exceed trials")
+
+
+def _blocks(m: int):
+    """Row ranges ``[lo, hi)`` covering ``0..m``: ``_FIRST_BLOCK`` rows, then doubling."""
+    lo, size = 0, _FIRST_BLOCK
+    while lo < m:
+        hi = min(m, lo + size)
+        yield lo, hi
+        lo, size = hi, 2 * size
+
+
+def _scan_codebook(rng, thresholds, onehot, decoder, msg, s_true, scratch, scores) -> bool:
+    """Score the codewords into ``scores``, block by block from the trial's uniform stream ``rng``.
+
+    Word ``i`` is row ``i`` of ``rng.random((M, n))``; ``onehot`` is the
+    received word's indicator matrix, ``scratch`` two (rows, n) arrays, and
+    row ``msg`` scores ``s_true``.  Returns True at the first block whose
+    best score ``s`` has ``_tie_threshold(s) > s_true``, which makes the
+    trial an error and not a tie (see the module docstring); else False,
+    with every codeword's score in ``scores``.
+    """
+    uniforms, indicators = scratch
+    n = onehot.shape[0]
+    for lo, hi in _blocks(len(scores)):
+        u = uniforms[: hi - lo]
+        rng.random(out=u)
+        block = scores[lo:hi]
+        block[:] = _score_types(_count_joint_types(u, thresholds, onehot, indicators[: hi - lo]), decoder, n)
+        if lo <= msg < hi:  # a one-row product may round differently; the stop and the tie rule read s_true
+            block[msg - lo] = s_true
+        if _tie_threshold(float(block.max())) > s_true:
+            return True
+    return False
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -379,6 +444,11 @@ def estimate_error(
                 q[ch_idx, t] = prob[score >= cuts[ch_idx, t]].sum()
             del prob, score  # one grid alive at a time
 
+    if method == "codebook":  # allocated once: every trial's scan reuses them
+        thresholds = _thresholds(input_dist.probs)
+        scratch = np.empty((2, max(hi - lo for lo, hi in _blocks(num_codewords)), n))
+        scores = np.empty(num_codewords)
+
     out = []
     for ch_idx, channel in enumerate(cset.channels):
         errors = 0
@@ -386,11 +456,16 @@ def estimate_error(
         prob_sum = 0.0
         if method == "codebook":
             for t in range(trials):
-                cb = generate_codebook(input_dist, n, num_codewords, [seed, ch_idx, t, 0])
-                msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(cb.num_codewords))
-                y = transmit(channel, cb.words[msg], [seed, ch_idx, t, 2])
-                scores = score_codewords(y, cb, decoder, nx, ny)
-                s_true = float(scores[msg])
+                msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(num_codewords))
+                row = np.random.PCG64([seed, ch_idx, t, 0]).advance(msg * n)  # the stream at word msg
+                x = _draw_symbols(input_dist.probs, n, row)
+                y = transmit(channel, x, [seed, ch_idx, t, 2])
+                s_true = float(score_codewords(y, Codebook(x[None, :]), decoder, nx, ny)[0])
+                onehot = (y[:, None] == np.arange(ny)).astype(float)
+                rng = np.random.default_rng([seed, ch_idx, t, 0])
+                if _scan_codebook(rng, thresholds, onehot, decoder, msg, s_true, scratch, scores):
+                    errors += 1  # a competitor beat the true word by more than the tie band
+                    continue
                 cut = _tie_threshold(float(scores.max()))
                 winners = int((scores >= cut).sum())
                 tied = s_true >= cut and winners > 1

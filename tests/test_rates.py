@@ -18,7 +18,8 @@ from ccdec import (
     mutual_information,
     worst_channel,
 )
-from ccdec.rates import SetAnalysis, family, min_with_ties, partition, worst_per_block
+from ccdec.rates import SetAnalysis, decoder_rates, family, min_with_ties, partition, worst_per_block
+from ccdec.scenario import load_scenario
 from conftest import bsc_capacity_nats, random_channel, random_distribution, segment_toward_noise
 
 UNIFORM = Distribution.uniform(2)
@@ -147,6 +148,30 @@ class TestGeneralizedBlocks:
         assert analysis.blocks == analysis.cover
         assert family(analysis, "glrt").channels == (0, 1)
         assert family(analysis, "ml").channels == (0,)
+
+
+class TestMmiRates:
+    """MMI's random-coding rate on member k is ``I(P, W_k)``, which the record already holds."""
+
+    @pytest.mark.parametrize("source", ["one-bsc", "builtin:bsc-quarter"])
+    def test_mmi_rates_are_the_informations(self, source):
+        if source == "one-bsc":
+            cset, p = CompoundSet((Channel.bsc(0.1),)), UNIFORM
+        else:
+            sc = load_scenario(source)
+            cset, p = sc.channels, sc.input_dist
+        analysis = SetAnalysis(cset, p)
+        rep = decoder_rates(analysis, family(analysis, "mmi"))
+        assert rep.kind == "mmi"
+        assert np.array_equal(rep.rates, analysis.informations)
+        assert rep.minimum == analysis.informations.min()
+        for k, w in enumerate(cset.channels):
+            assert rep.rates[k] == pytest.approx(mutual_information(p, w), abs=1e-12)
+
+    def test_record_rate_without_metrics_names_itself(self):
+        analysis = SetAnalysis(CompoundSet((Channel.bsc(0.1),)), UNIFORM)
+        with pytest.raises(ValueError, match=r"^SetAnalysis\.rate: need at least one metric"):
+            analysis.rate(0, [])
 
 
 class TestFullSetLikelihoodFamily:

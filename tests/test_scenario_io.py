@@ -92,6 +92,19 @@ class TestLoadScenario:
             scenario_from_dict(raw)
         assert "directions[0]" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "0"])
+    def test_non_finite_or_non_positive_epsilon_rejected(self, tmp_path, bad):
+        # Python's json reads NaN and Infinity; NaN slips past a plain ``e <= 0``.
+        path = tmp_path / "vn.json"
+        path.write_text(
+            '{"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [0.0, 0.0]]], '
+            f'"epsilons": [{bad}, 0.05]}}}}'
+        )
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(str(path))
+        assert exc.value.field_path == "vn.epsilons"
+        assert "epsilons must be finite and positive" in str(exc.value)
+
     @pytest.mark.parametrize(
         "extra, field_path",
         [

@@ -434,6 +434,68 @@ class TestEstimateError:
         assert glrt.error_rate >= gmap.error_rate + 3 * sigma
 
 
+def _reference_codebook_counts(cset, decoder, input_dist, n, rate_bits, trials, seed):
+    """Per-channel (errors, tie_errors) of the codebook method, one materialized codebook per trial."""
+    nx, ny = cset.channels[0].nx, cset.channels[0].ny
+    m = max(2, math.ceil(2.0 ** (n * rate_bits)))
+    out = []
+    for ch_idx, channel in enumerate(cset.channels):
+        errors = ties = 0
+        for t in range(trials):
+            cb = generate_codebook(input_dist, n, m, [seed, ch_idx, t, 0])
+            msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(m))
+            y = transmit(channel, cb.words[msg], [seed, ch_idx, t, 2])
+            scores = score_codewords(y, cb, decoder, nx, ny)
+            cut = _tie_threshold(float(scores.max()))
+            tied = scores[msg] >= cut and (scores >= cut).sum() > 1
+            ties += int(tied)
+            errors += int(scores[msg] < cut or tied)
+        out.append((errors, ties))
+    return out
+
+
+W3 = (
+    Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.1, 0.7]])),
+    Channel(np.array([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]])),
+)
+SCAN_CASES = {
+    # set, input, n, (rate below capacity, rate above it)
+    "bsc-pair": (CompoundSet((Channel.bsc(0.1), Channel.bsc(0.25))), UNIFORM, 24, (0.1, 0.4)),
+    "three-inputs-one-unused": (CompoundSet(W3), Distribution(np.array([0.5, 0.0, 0.5])), 24, (0.15, 0.5)),
+    "one-letter": (CompoundSet((Channel(np.array([[0.2, 0.3, 0.5]])),)), Distribution(np.array([1.0])), 8, (0.3, 1.2)),
+}
+
+
+class TestCodebookScan:
+    """The streamed, early-stopping codebook scan counts what a materialized codebook per trial counts."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("side", [0, 1], ids=["below-capacity", "above-capacity"])
+    @pytest.mark.parametrize("kind", ["ml", "gmap", "mmi"])
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_matches_materialized_codebooks(self, monkeypatch, case, kind, side, seed):
+        cset, p, n, rates = SCAN_CASES[case]
+        decoder = family(SetAnalysis(cset, p), kind)
+        stops = []
+        scan = ccdec.simulate._scan_codebook
+
+        def spy(*args):
+            stops.append(scan(*args))
+            return stops[-1]
+
+        monkeypatch.setattr(ccdec.simulate, "_scan_codebook", spy)
+        stats = estimate_error(cset, decoder, p, n, rates[side], 20, seed)
+        assert [(st.errors, st.tie_errors) for st in stats] == _reference_codebook_counts(
+            cset, decoder, p, n, rates[side], 20, seed
+        )
+        if case == "one-letter":  # every trial ties, which only a full scan can tell
+            assert not any(stops)
+        elif side:
+            assert any(stops) and stats[0].num_codewords > ccdec.simulate._FIRST_BLOCK
+        else:
+            assert not all(stops)
+
+
 class TestFormatCount:
     def test_counts_up_to_4300_digits_stay_integers(self):
         assert format_count(2) == 2
