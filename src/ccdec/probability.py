@@ -25,6 +25,10 @@ SUM_TOL = 1e-12
 
 NATS_PER_BIT = math.log(2.0)
 
+# Rows of ``p`` per block of ``kl_table``: its temporaries hold this many
+# rows times ``len(q)`` times the array size, not ``len(p)`` rows.
+_KL_BLOCK_ROWS = 16
+
 
 def _validated(arr, name: str) -> np.ndarray:
     a = np.array(arr, dtype=float)
@@ -188,16 +192,21 @@ def kl_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``q[s]`` has none gives ``math.inf``, and ``0 log(0/.)`` contributes
     zero, without a warning.  Each pair sums its terms over one contiguous
     row of the flattened arrays, so an entry has the same bits whatever else
-    is stacked with it.
+    is stacked with it, and the table is built in blocks of rows of ``p``.
     """
     a = p.reshape(len(p), -1)
     b = q.reshape(len(q), -1)
     on = a > SUPPORT_FLOOR
+    off_b = b <= SUPPORT_FLOOR
     log_a = np.log(np.where(on, a, 1.0))
-    log_b = np.log(np.where(b > SUPPORT_FLOOR, b, 1.0))
-    terms = np.where(on[:, None], a[:, None] * (log_a[:, None] - log_b[None]), 0.0)
-    table = np.maximum(terms.sum(axis=2), 0.0)
-    table[(on[:, None] & (b <= SUPPORT_FLOOR)[None]).any(axis=2)] = math.inf
+    log_b = np.log(np.where(off_b, 1.0, b))
+    table = np.empty((len(a), len(b)))
+    for lo in range(0, len(a), _KL_BLOCK_ROWS):
+        rows = slice(lo, lo + _KL_BLOCK_ROWS)
+        terms = np.where(on[rows, None], a[rows, None] * (log_a[rows, None] - log_b[None]), 0.0)
+        block = table[rows]
+        np.maximum(terms.sum(axis=2), 0.0, out=block)
+        block[(on[rows, None] & off_b[None]).any(axis=2)] = math.inf
     return table
 
 

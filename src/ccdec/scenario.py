@@ -240,6 +240,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError("simulation.decoder", f"unknown decoder {sim.decoder!r}")
         if sim.method not in METHODS:
             raise ScenarioError("simulation.method", f"unknown method {sim.method!r}")
+        if sim.seed < 0:
+            raise ScenarioError("simulation.seed", f"seed must be nonnegative, got {sim.seed}")
 
     return Scenario(
         name=str(raw.get("name", name)),

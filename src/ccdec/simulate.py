@@ -19,35 +19,38 @@ reads ``k log k`` from one table of ``n + 1`` entries:
 ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``.
 
 Two error estimators share the same estimand (the ensemble-average error of
-a fresh random codebook per trial):
+a fresh random codebook per trial) and one competitor rule: a competitor
+reaches the true score ``s_true`` when it scores ``>= _tie_threshold(s_true)``,
+and then the trial is an error, so ties are scored pessimistically.  Both
+draw the true word one way, ``_true_word``: word ``msg`` of the trial's
+codebook stream (word 0 for the ensemble), sent through the channel.
 
 * ``method="codebook"`` decodes an explicit random codebook, which caps the
   number of codewords at desk scale.  The codebook is never materialized:
   word ``i`` of trial ``t`` is row ``i`` of its stream's ``(M, n)``
-  uniforms.  The trial draws the true word ``msg`` first, from a second bit
-  generator advanced ``msg * n`` steps, then streams the competitors through
-  one buffer, allocated once per call, in blocks of ``_FIRST_BLOCK`` rows and
-  doubling, counting their joint types straight from the uniforms.  It stops
-  at the first block whose best score ``s`` has ``_tie_threshold(s)`` above
-  the true score: ``_tie_threshold`` is nondecreasing, so the cut of the
-  whole codebook is above the true score too, and the trial is an error and
-  not a tie whatever the unscanned rows hold.  Other trials scan every row
-  and apply the tie rule below to all the scores;
+  uniforms, and the true word is drawn first, from a second bit generator
+  advanced ``msg * n`` steps.  The competitors stream through one buffer,
+  allocated once per call, in blocks of ``_FIRST_BLOCK`` rows and doubling;
+  their joint types are counted straight from the uniforms, and the scan
+  keeps only the best competitor score ``best``.  The trial is an error
+  when ``best >= _tie_threshold(s_true)``, and a tie when also
+  ``_tie_threshold(best) <= s_true``.  ``_tie_threshold`` is strictly below
+  its argument and nondecreasing, so these are the counts ``decode``'s tie
+  band gives on all ``M`` scores of the materialized codebook, and the scan
+  stops at the first block with ``_tie_threshold(best) > s_true``: the
+  trial is an error and not a tie whatever the unscanned rows hold;
 * ``method="ensemble"`` draws only the true codeword and the channel output,
   then integrates the remaining ``M - 1`` i.i.d. competitors analytically.
   Conditioned on the received word, the competitor's joint type has
-  independent per-output-symbol multinomial columns, so the exceedance
-  probability of the true score is an exact finite sum.  That sum runs over
-  a grid of competitor joint types that depends on the received word only
-  through its output type, so the competitors are integrated once per
-  output type of the whole set, and each trial reads its tail mass off its
-  type's grid.  A Bernoulli draw with the resulting conditional error
-  probability keeps the trial counts honest, and the running mean of the
-  conditional probabilities is also recorded (it resolves error
-  probabilities far below 1/trials).
-
-Ties are scored pessimistically: a competitor matching the true score
-counts as an error.
+  independent per-output-symbol multinomial columns, so the probability
+  that one competitor reaches the true score is an exact finite sum.  That
+  sum runs over a grid of competitor joint types that depends on the
+  received word only through its output type, so the competitors are
+  integrated once per output type of the whole set, and each trial reads
+  its tail mass off its type's grid.  A Bernoulli draw with the resulting
+  conditional error probability keeps the trial counts honest, and the
+  running mean of the conditional probabilities is also recorded (it
+  resolves error probabilities far below 1/trials).
 """
 
 from __future__ import annotations
@@ -260,28 +263,34 @@ def _blocks(m: int):
         lo, size = hi, 2 * size
 
 
-def _scan_codebook(rng, thresholds, onehot, decoder, msg, s_true, scratch, scores) -> bool:
-    """Score the codewords into ``scores``, block by block from the trial's uniform stream ``rng``.
+def _true_word(channel, decoder, input_dist, n, trial, msg) -> tuple[np.ndarray, float]:
+    """Codeword ``msg`` of trial ``(seed, channel index, t)`` through ``channel``: (received word, its score)."""
+    x = _draw_symbols(input_dist.probs, n, np.random.PCG64([*trial, 0]).advance(msg * n))
+    y = transmit(channel, x, [*trial, 2])
+    return y, float(score_codewords(y, Codebook(x[None, :]), decoder, channel.nx, channel.ny)[0])
 
-    Word ``i`` is row ``i`` of ``rng.random((M, n))``; ``onehot`` is the
-    received word's indicator matrix, ``scratch`` two (rows, n) arrays, and
-    row ``msg`` scores ``s_true``.  Returns True at the first block whose
-    best score ``s`` has ``_tie_threshold(s) > s_true``, which makes the
-    trial an error and not a tie (see the module docstring); else False,
-    with every codeword's score in ``scores``.
+
+def _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msg, s_true) -> float:
+    """The best competitor score of a trial's codebook, block by block from its uniform stream ``rng``.
+
+    Word ``i`` is row ``i`` of ``rng.random((M, n))`` and row ``msg``, the
+    true word, is no competitor; ``onehot`` is the received word's indicator
+    matrix and ``scratch`` two (rows, n) arrays.  Stops at the first block
+    that brings ``_tie_threshold(best)`` above ``s_true``.
     """
     uniforms, indicators = scratch
     n = onehot.shape[0]
-    for lo, hi in _blocks(len(scores)):
+    best = -math.inf
+    for lo, hi in _blocks(num_codewords):
         u = uniforms[: hi - lo]
         rng.random(out=u)
-        block = scores[lo:hi]
-        block[:] = _score_types(_count_joint_types(u, thresholds, onehot, indicators[: hi - lo]), decoder, n)
-        if lo <= msg < hi:  # a one-row product may round differently; the stop and the tie rule read s_true
-            block[msg - lo] = s_true
-        if _tie_threshold(float(block.max())) > s_true:
-            return True
-    return False
+        scores = _score_types(_count_joint_types(u, thresholds, onehot, indicators[: hi - lo]), decoder, n)
+        if lo <= msg < hi:
+            scores[msg - lo] = -math.inf
+        best = max(best, float(scores.max()))
+        if _tie_threshold(best) > s_true:
+            break
+    return best
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -403,6 +412,8 @@ def estimate_error(
         raise ValueError("block_length must be at least 1")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not math.isfinite(rate_bits):
         raise ValueError(f"rate_bits must be finite, got {rate_bits}")
     if rate_bits <= 0.0:
@@ -428,26 +439,23 @@ def estimate_error(
 
     if method == "ensemble":
         # Draw every trial's true codeword and output, grouping the trials of the whole set by output type.
-        cuts = np.empty((cset.size, trials))
+        true_scores = np.empty((cset.size, trials))
         by_type: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for ch_idx, channel in enumerate(cset.channels):
             for t in range(trials):
-                x = _draw_symbols(input_dist.probs, n, [seed, ch_idx, t, 0])
-                y = transmit(channel, x, [seed, ch_idx, t, 2])
-                cuts[ch_idx, t] = _tie_threshold(float(score_codewords(y, Codebook(x[None, :]), decoder, nx, ny)[0]))
+                y, true_scores[ch_idx, t] = _true_word(channel, decoder, input_dist, n, (seed, ch_idx, t), 0)
                 by_type.setdefault(tuple(np.bincount(y, minlength=ny).tolist()), []).append((ch_idx, t))
         # Build each output type's competitor grid once; its trials read their tail mass off it.
         q = np.empty((cset.size, trials))
         for y_counts, members in by_type.items():
             prob, score = _competitor_grid(np.array(y_counts), input_dist, decoder, n)
             for ch_idx, t in members:
-                q[ch_idx, t] = prob[score >= cuts[ch_idx, t]].sum()
+                q[ch_idx, t] = prob[score >= _tie_threshold(float(true_scores[ch_idx, t]))].sum()
             del prob, score  # one grid alive at a time
 
     if method == "codebook":  # allocated once: every trial's scan reuses them
         thresholds = _thresholds(input_dist.probs)
         scratch = np.empty((2, max(hi - lo for lo, hi in _blocks(num_codewords)), n))
-        scores = np.empty(num_codewords)
 
     out = []
     for ch_idx, channel in enumerate(cset.channels):
@@ -457,22 +465,13 @@ def estimate_error(
         if method == "codebook":
             for t in range(trials):
                 msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(num_codewords))
-                row = np.random.PCG64([seed, ch_idx, t, 0]).advance(msg * n)  # the stream at word msg
-                x = _draw_symbols(input_dist.probs, n, row)
-                y = transmit(channel, x, [seed, ch_idx, t, 2])
-                s_true = float(score_codewords(y, Codebook(x[None, :]), decoder, nx, ny)[0])
+                y, s_true = _true_word(channel, decoder, input_dist, n, (seed, ch_idx, t), msg)
                 onehot = (y[:, None] == np.arange(ny)).astype(float)
                 rng = np.random.default_rng([seed, ch_idx, t, 0])
-                if _scan_codebook(rng, thresholds, onehot, decoder, msg, s_true, scratch, scores):
-                    errors += 1  # a competitor beat the true word by more than the tie band
-                    continue
-                cut = _tie_threshold(float(scores.max()))
-                winners = int((scores >= cut).sum())
-                tied = s_true >= cut and winners > 1
-                if tied:
-                    tie_errors += 1
-                if s_true < cut or tied:
+                best = _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msg, s_true)
+                if best >= _tie_threshold(s_true):
                     errors += 1
+                    tie_errors += _tie_threshold(best) <= s_true
         else:
             for t in range(trials):
                 e = _any_competitor_reaches(float(q[ch_idx, t]), num_codewords)

@@ -454,6 +454,7 @@ class TestSimulate:
             (["--method", "codebook", "--n", "0"], "block_length must be at least 1"),
             (["--trials", "-2"], "trials must be nonnegative"),
             (["--rate", "nan"], "rate_bits must be finite, got nan"),
+            (["--seed", "-1"], "seed must be nonnegative, got -1"),
         ],
     )
     def test_invalid_simulation_exits_2(self, capsys, flags, message):
@@ -462,6 +463,15 @@ class TestSimulate:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_negative_scenario_seed_exits_2(self, capsys, tmp_path):
+        scenario = tmp_path / "seed.json"
+        scenario.write_text(json.dumps({"channels": [[[0.9, 0.1], [0.1, 0.9]]], "simulation": {"seed": -4}}))
+        code = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: simulation.seed: seed must be nonnegative, got -4\n"
 
     @pytest.mark.parametrize(
         "command, block, key",

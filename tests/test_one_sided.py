@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ccdec import (
     one_sided_cover,
     worst_channel,
 )
+from ccdec.probability import SUPPORT_FLOOR
 from ccdec.rates import ONE_SIDED_SLACK, WORST_TIE_TOL, OneSidedVerdict, SetAnalysis
 from ccdec.vn import Direction, embed
 from conftest import random_channel, random_distribution, segment_toward_noise
@@ -331,3 +333,31 @@ class TestAgainstReference:
             infinite += bool(np.isinf(analysis.informations).any())
             assert not np.isnan(analysis.margins).any()
         assert infinite > 0
+
+
+class TestDivergenceTable:
+    def test_large_set_bit_identical_in_bounded_memory(self):
+        # 400 channels of a 3x4 set, a fifth of their entries zero: unblocked,
+        # the (K, 2K, |X||Y|) temporaries of the table peak near 62 MB
+        rng = np.random.default_rng(400)
+        mats = rng.uniform(0.05, 1.0, size=(400, 3, 4)) * (rng.random((400, 3, 4)) > 0.2)
+        mats[:, :, 0] += mats.sum(axis=2) == 0.0
+        cset = CompoundSet(tuple(Channel(m / m.sum(axis=1, keepdims=True)) for m in mats))
+        analysis = SetAnalysis(cset, Distribution.uniform(3))
+        mu, products = analysis._stacked
+        tracemalloc.start()
+        try:
+            to_product, to_joint = analysis._tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a = mu.reshape(len(mu), -1)
+        b = np.concatenate([products, mu]).reshape(2 * len(mu), -1)
+        on = a > SUPPORT_FLOOR
+        log_a = np.log(np.where(on, a, 1.0))
+        log_b = np.log(np.where(b > SUPPORT_FLOOR, b, 1.0))
+        want = np.maximum(np.where(on[:, None], a[:, None] * (log_a[:, None] - log_b[None]), 0.0).sum(axis=2), 0.0)
+        want[(on[:, None] & (b <= SUPPORT_FLOOR)[None]).any(axis=2)] = math.inf
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        assert np.hstack([to_product, to_joint]).tobytes() == want.tobytes()
+        assert peak <= 10e6

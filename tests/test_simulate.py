@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hyp_st
 from scipy.special import gammaln
 
 import ccdec.simulate
@@ -480,8 +482,9 @@ class TestCodebookScan:
         scan = ccdec.simulate._scan_codebook
 
         def spy(*args):
-            stops.append(scan(*args))
-            return stops[-1]
+            best = scan(*args)
+            stops.append(_tie_threshold(best) > args[-1])  # the last argument is s_true
+            return best
 
         monkeypatch.setattr(ccdec.simulate, "_scan_codebook", spy)
         stats = estimate_error(cset, decoder, p, n, rates[side], 20, seed)
@@ -494,6 +497,37 @@ class TestCodebookScan:
             assert any(stops) and stats[0].num_codewords > ccdec.simulate._FIRST_BLOCK
         else:
             assert not all(stops)
+
+
+# Every finite float, and scores around |s| = 1, where the band turns from absolute to relative.
+SCORES = (
+    hyp_st.floats(allow_nan=False, allow_infinity=False)
+    | hyp_st.floats(min_value=0.5, max_value=2.0)
+    | hyp_st.floats(min_value=-2.0, max_value=-0.5)
+    | hyp_st.sampled_from([-1.0, 0.0, 1.0])
+)
+
+
+class TestTieThreshold:
+    """The two facts the codebook scan's early stop and its error and tie rule rest on."""
+
+    @settings(max_examples=500)
+    @given(s=SCORES)
+    def test_strictly_below_its_argument(self, s):
+        assert _tie_threshold(s) < s
+
+    @settings(max_examples=500)
+    @given(s=SCORES, t=SCORES)
+    def test_nondecreasing(self, s, t):
+        lo, hi = sorted((s, t))
+        assert _tie_threshold(lo) <= _tie_threshold(hi)
+
+    @settings(max_examples=500)
+    @given(s=SCORES)
+    def test_nondecreasing_between_adjacent_floats(self, s):
+        below, above = math.nextafter(s, -math.inf), math.nextafter(s, math.inf)
+        assume(math.isfinite(below) and math.isfinite(above))
+        assert _tie_threshold(below) <= _tie_threshold(s) <= _tie_threshold(above)
 
 
 class TestFormatCount:
