@@ -38,6 +38,24 @@ log-sum-exp is written out in numpy because the kernels are tiny (a few
 letters a side): there, a general library routine spends several times the
 arithmetic on per-call overhead, and the fit makes thousands of calls.
 
+Lockstep fitting
+----------------
+``kl_projections`` solves many problems together.  Each problem runs its
+own search (``_solve``: the checks, the reachability LP, the bracket, the
+bisection and the landing fit) as a generator that yields each fit it
+needs: the kernel on its alive block, the marginals and the budget
+``MAX_FIT_ITERS + 12 lam``.  Problems whose alive blocks share a shape take
+one slot each of stacked ``(B, |X|, |Y|)`` arrays, and one scaling
+iteration advances every unfinished fit at once (``_Slots``).  A finished
+fit goes back to its generator, whose next kernel refills the slot in
+place, warm-started from the slot's potentials.  Each fit still checks its
+residual on its even iterations and on its last.  Every elementwise
+operation and every reduction acts on a slot's entries as on a lone
+problem's arrays, so each result is bit for bit the one the problem gets
+alone, whatever else shares its batch; ``kl_projection`` is the
+one-problem call.  The per-call numpy overhead of the tiny kernels is paid
+once per iteration of the batch rather than once per problem.
+
 Dead letters
 ------------
 Rows with zero ``row`` mass and columns with zero ``col`` mass carry no mass in
@@ -58,7 +76,8 @@ exception: infima over constrained families legitimately touch this
 boundary).  ``E_mu[score]`` tends to the maximum only as ``lam`` grows
 without bound, so a threshold within the slack of it can still leave the
 multiplier at the cap short of the threshold; that is the sentinel too.  A
-fit that stalls is a ``SolverError``.
+fit that stalls is a ``SolverError``; in a batch, the first stalled
+problem's error is raised once the others finish.
 """
 
 from __future__ import annotations
@@ -170,49 +189,104 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (np.log(np.maximum(s, 1.0)) + m).squeeze(axis)
 
 
-def _log_fit(log_kernel, log_r, log_c, r, c, u, v, marginal_tol, max_iters):
-    """Fit log-potentials so exp(log_kernel + u + v') has marginals (r, c)."""
-    resid = math.inf
-    for it in range(1, max_iters + 1):
-        u = log_r - _logsumexp(log_kernel + v, axis=1)
-        v = log_c - _logsumexp(log_kernel + u[:, None], axis=0)
-        if it % 2 == 0 or it == max_iters:
-            mu = np.exp(log_kernel + u[:, None] + v)
-            resid = max(
-                np.abs(mu.sum(axis=1) - r).max(),
-                np.abs(mu.sum(axis=0) - c).max(),
-            )
-            if resid <= marginal_tol:
-                return mu, u, v, it, resid
-    raise SolverError(f"marginal fitting stalled: residual {resid:.3e} after {max_iters} iterations")
+class _Slots:
+    """The fits in flight of solvers whose alive blocks share one shape, one slot each.
+
+    Slot ``s`` holds the current fit of problem ``owners[s]``, whose solver
+    is ``solvers[s]``: its log-kernel, marginals and log-potentials, the
+    iterations made and the budget.  The potentials stay in the slot from
+    one fit of a solver to its next, which is the warm start of the
+    multiplier search.
+    """
+
+    def __init__(self, owners, waiting):
+        solvers, requests = zip(*waiting)
+        kernels, rs, cs, budgets = zip(*requests)
+        self.owners, self.solvers = list(owners), list(solvers)
+        self.kernel = np.stack(kernels)
+        self.r, self.c = np.stack(rs), np.stack(cs)
+        self.log_r, self.log_c = np.log(self.r), np.log(self.c)
+        self.u, self.v = np.zeros_like(self.r), np.zeros_like(self.c)
+        self.it = np.zeros(len(budgets), dtype=int)
+        self.budget = np.array(budgets)
+
+    def refill(self, s: int, request) -> None:
+        self.kernel[s], _, _, self.budget[s] = request
+        self.it[s] = 0
+
+    def drop(self, gone) -> None:
+        kept = [s for s in range(len(self.owners)) if s not in gone]
+        self.owners = [self.owners[s] for s in kept]
+        self.solvers = [self.solvers[s] for s in kept]
+        for name in ("kernel", "r", "c", "log_r", "log_c", "u", "v", "it", "budget"):
+            setattr(self, name, getattr(self, name)[kept])
+
+    def step(self):
+        """One scaling iteration of every slot.
+
+        Returns the slots whose fits end, with every slot's joint and
+        residual.  A fit checks its residual on its even iterations and on
+        its last, as a lone fit would, and ends when the residual is within
+        ``MARGINAL_TOL`` or at its last iteration.
+        """
+        self.it += 1
+        self.u = self.log_r - _logsumexp(self.kernel + self.v[:, None, :], axis=2)
+        self.v = self.log_c - _logsumexp(self.kernel + self.u[:, :, None], axis=1)
+        last = self.it == self.budget
+        due = last | (self.it % 2 == 0)
+        if not due.any():
+            return (), None, None
+        mu = np.exp(self.kernel + self.u[:, :, None] + self.v[:, None, :])
+        resid = np.maximum(
+            np.abs(mu.sum(axis=2) - self.r).max(axis=1),
+            np.abs(mu.sum(axis=1) - self.c).max(axis=1),
+        )
+        return np.flatnonzero((due & (resid <= MARGINAL_TOL)) | last), mu, resid
 
 
-def kl_projection(
-    base: Joint,
-    row: Distribution,
-    col: Distribution,
-    score,
-    threshold: float,
-) -> ProjectionResult:
-    """Project ``base`` onto {mu : mu_X = row, mu_Y = col, E_mu[score] >= threshold}.
+def _lockstep(waiting: dict, results: list) -> None:
+    """Run the fits that the ``waiting`` solvers request until each returns its result.
 
-    Parameters
-    ----------
-    base : Joint
-        Reference joint; the caller normally passes the product distribution
-        ``mu0^p`` whose marginals are exactly (row, col).
-    row, col : Distribution
-        Required X and Y marginals of the feasible joints.
-    score : array_like
-        |X| x |Y| score matrix (finite entries).
-    threshold : float
-        Lower bound on ``E_mu[score]``.
+    ``waiting`` maps a problem's index to its solver and first fit request.
+    Solvers whose alive blocks share a shape share one ``_Slots``; a
+    finished fit is sent back to its solver, whose next request refills the
+    slot in place.  A fit that stalls ends its solver, and after the rest
+    finish the first such problem's ``SolverError`` is raised.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, request) in waiting.items():
+        groups.setdefault(request[0].shape, []).append(i)
+    errors = {}
+    for members in groups.values():
+        slots = _Slots(members, [waiting[i] for i in members])
+        while slots.owners:
+            ended, mu, resid = slots.step()
+            gone = []
+            for s in ended:
+                if not resid[s] <= MARGINAL_TOL:
+                    errors[slots.owners[s]] = SolverError(
+                        f"marginal fitting stalled: residual {resid[s]:.3e} after {slots.budget[s]} iterations"
+                    )
+                    gone.append(s)
+                    continue
+                try:
+                    slots.refill(s, slots.solvers[s].send((mu[s], int(slots.it[s]), resid[s])))
+                except StopIteration as done:
+                    results[slots.owners[s]] = done.value
+                    gone.append(s)
+            if gone:
+                slots.drop(gone)
+    if errors:
+        raise errors[min(errors)]
 
-    Returns
-    -------
-    ProjectionResult
-        ``value = inf D(mu || base)`` with a minimizer, or the ``+inf``
-        sentinel when the constraint set is empty.
+
+def _solve(base: Joint, row: Distribution, col: Distribution, score, threshold: float):
+    """One projection as a generator over its fits; see ``kl_projection``.
+
+    It yields each fit it needs as ``(log_kernel, r, c, budget)`` on the
+    alive block, is sent back the fitted joint, the fit's iterations and its
+    marginal residual, and returns the ``ProjectionResult``.  Inactive and
+    LP-unreachable problems return before any fit.
     """
     b = base.matrix
     r = _values(row)
@@ -265,20 +339,13 @@ def kl_projection(
 
     with np.errstate(divide="ignore"):
         log_b = np.log(b)
-    log_r = np.log(r)
-    log_c = np.log(c)
-    u = np.zeros_like(r)
-    v = np.zeros_like(c)
 
-    def fit(lam, u0, v0):
+    def fit(lam):
         # The scaling slows down as the kernel concentrates; grow the budget.
         nonlocal total_fit_iters
-        budget = MAX_FIT_ITERS + int(12.0 * lam)
-        mu, uu, vv, its, resid = _log_fit(
-            log_b + lam * d, log_r, log_c, r, c, u0, v0, MARGINAL_TOL, budget
-        )
+        mu, its, resid = yield log_b + lam * d, r, c, MAX_FIT_ITERS + int(12.0 * lam)
         total_fit_iters += its
-        return mu, float(np.sum(mu * d)), uu, vv, resid
+        return mu, float(np.sum(mu * d)), resid
 
     # Bracket the active multiplier: expand until E(lam) clears the threshold or
     # meets it within the bisection's own tolerance.  A matched metric's first
@@ -288,7 +355,7 @@ def kl_projection(
     capped = False
     while True:
         hi = min(hi, LAMBDA_CAP)
-        mu, expect, u, v, resid = fit(hi, u, v)
+        mu, expect, resid = yield from fit(hi)
         if expect >= threshold - CONSTRAINT_TOL:
             break
         lo = hi
@@ -312,14 +379,14 @@ def kl_projection(
         ):
             steps += 1
             lam = 0.5 * (lo + hi)
-            mu, expect, u, v, resid = fit(lam, u, v)
+            mu, expect, resid = yield from fit(lam)
             if expect >= threshold:
                 hi = lam
             else:
                 lo = lam
         if lam < hi:
             # The last fit fell short: land on the feasible side of the bracket.
-            mu, expect, u, v, resid = fit(hi, u, v)
+            mu, expect, resid = yield from fit(hi)
             lam = hi
 
     on = mu > SUPPORT_FLOOR
@@ -338,3 +405,55 @@ def kl_projection(
         constraint_gap=float(expect - threshold),
         feasible=True,
     )
+
+
+def kl_projections(problems) -> list[ProjectionResult]:
+    """``kl_projection`` of each ``(base, row, col, score, threshold)`` in ``problems``, fitted in lockstep.
+
+    Each result is the one a lone ``kl_projection`` call returns, bit for
+    bit: a problem keeps its own multiplier search, and only the scaling
+    iterations of its fits share stacked arrays with the other problems'.
+    """
+    results: list = []
+    waiting = {}
+    for i, problem in enumerate(problems):
+        solver = _solve(*problem)
+        try:
+            waiting[i] = (solver, next(solver))
+            results.append(None)
+        except StopIteration as done:
+            results.append(done.value)
+    if waiting:
+        _lockstep(waiting, results)
+    return results
+
+
+def kl_projection(
+    base: Joint,
+    row: Distribution,
+    col: Distribution,
+    score,
+    threshold: float,
+) -> ProjectionResult:
+    """Project ``base`` onto {mu : mu_X = row, mu_Y = col, E_mu[score] >= threshold}.
+
+    Parameters
+    ----------
+    base : Joint
+        Reference joint; the caller normally passes the product distribution
+        ``mu0^p`` whose marginals are exactly (row, col).
+    row, col : Distribution
+        Required X and Y marginals of the feasible joints.
+    score : array_like
+        |X| x |Y| score matrix (finite entries).
+    threshold : float
+        Lower bound on ``E_mu[score]``.
+
+    Returns
+    -------
+    ProjectionResult
+        ``value = inf D(mu || base)`` with a minimizer, or the ``+inf``
+        sentinel when the constraint set is empty.  The one-problem case of
+        ``kl_projections``.
+    """
+    return kl_projections([(base, row, col, score, threshold)])[0]

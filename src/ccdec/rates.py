@@ -15,7 +15,9 @@ Builds on the constrained divergence projection:
   on the planes as an upper-bound certificate.
 * ``SetAnalysis``: one record per channel set and input.  One batched
   divergence table (``probability.kl_table``) gives its informations and
-  the margins of every one-sided split, so verdicts and covers are lookups.
+  the margins of every one-sided split, so verdicts and covers are lookups,
+  and ``rates`` solves the projections of many rate requests in one
+  lockstep ``kl_projections`` call.
   ``worst_channel``, ``is_one_sided`` (when the single worst-channel metric
   achieves capacity), ``one_sided_cover`` and ``generalized_rate`` are
   views of a fresh record.
@@ -30,7 +32,7 @@ Builds on the constrained divergence projection:
   ``log(W_k / (mu_k)_Y)`` (``build_metrics``) from the worst channel of each
   block; the linear ``ml`` and ``map`` decoders are the GLRT and GMAP
   decoders whose one block is the whole set.  ``decoder_rates`` gives a
-  decoder's rate against every member.
+  decoder's rate against every member, from one ``rates`` call.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ from .probability import (
     xlogy,
 )
 
-# Not called here since ``SetAnalysis`` reads every divergence off one table;
-# kept as names of this module, which tracers and tests rebind to count calls.
+# Not called here since ``SetAnalysis`` reads every divergence off one table
+# and solves its projections in batches; kept as names of this module, which
+# tracers and tests rebind to count calls.
 from .probability import kl_divergence, mutual_information  # noqa: F401
-from .projection import ProjectionResult, _simplex, kl_projection
+from .projection import ProjectionResult, _simplex, kl_projection, kl_projections  # noqa: F401
 
 WORST_TIE_TOL = 1e-9
 ONE_SIDED_SLACK = 1e-9
@@ -414,26 +417,34 @@ class SetAnalysis:
         """Blocks of the GLRT and GMAP decoders: the declared components if more than one, else ``cover``."""
         return self.cset.components if len(self.cset.components) > 1 else self.cover
 
-    def rate(self, k: int, metrics) -> float:
-        """``generalized_rate`` on channel ``k``.
+    def rates(self, requests) -> list[float]:
+        """``generalized_rate`` on channel ``k`` for each ``(k, metrics)`` in ``requests``.
 
         The threshold is the best score the true joint earns across metrics;
         the rate is the smallest per-metric projection value.  Infeasible
         branches (+inf) drop out of the minimum unless every branch is.
+        Every projection missing from the record is solved in one
+        ``kl_projections`` call.
         """
-        ds = [_metric_values(d) for d in metrics]
-        if not ds:
-            raise ValueError("SetAnalysis.rate: need at least one metric")
-        mu0 = self.joints[k]
-        row, col = mu0.x_marginal, mu0.y_marginal
-        threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
-        values = []
-        for d in ds:
-            key = (row.probs.tobytes(), col.probs.tobytes(), d.tobytes(), threshold)
-            if key not in self._projections:
-                self._projections[key] = kl_projection(self.products[k], row, col, d, threshold)
-            values.append(self._projections[key].value)
-        return min(values)
+        plans, missing = [], {}
+        for k, metrics in requests:
+            ds = [_metric_values(d) for d in metrics]
+            if not ds:
+                raise ValueError("SetAnalysis.rate: need at least one metric")
+            mu0 = self.joints[k]
+            row, col = mu0.x_marginal, mu0.y_marginal
+            threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
+            keys = [(row.probs.tobytes(), col.probs.tobytes(), d.tobytes(), threshold) for d in ds]
+            for key, d in zip(keys, ds):
+                if key not in self._projections and key not in missing:
+                    missing[key] = (self.products[k], row, col, d, threshold)
+            plans.append(keys)
+        self._projections.update(zip(missing, kl_projections(list(missing.values()))))
+        return [min(self._projections[key].value for key in keys) for keys in plans]
+
+    def rate(self, k: int, metrics) -> float:
+        """``generalized_rate`` on channel ``k``: the one-request ``rates``."""
+        return self.rates([(k, metrics)])[0]
 
     def counters(self) -> dict:
         """Solver work summed over every projection this record made.
@@ -553,5 +564,5 @@ def decoder_rates(analysis: SetAnalysis, decoder: Decoder) -> RateReport:
     if not decoder.metrics:
         rates = analysis.informations.copy()
     else:
-        rates = np.array([analysis.rate(k, decoder.metrics) for k in range(analysis.cset.size)])
+        rates = np.array(analysis.rates([(k, decoder.metrics) for k in range(analysis.cset.size)]))
     return RateReport(decoder, rates, float(rates.min()))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .probability import Channel, Distribution
 from .rates import DECODERS, CompoundSet
-from .simulate import METHODS
+from .simulate import METHODS, check_parameter
 from .vn import Direction, DirectionSet, embed
 
 ROW_SUM_REPAIR_TOL = 1e-9
@@ -240,8 +240,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError("simulation.decoder", f"unknown decoder {sim.decoder!r}")
         if sim.method not in METHODS:
             raise ScenarioError("simulation.method", f"unknown method {sim.method!r}")
-        if sim.seed < 0:
-            raise ScenarioError("simulation.seed", f"seed must be nonnegative, got {sim.seed}")
+        for key in s:
+            _checked(f"simulation.{key}", check_parameter, fields[key].name, getattr(sim, fields[key].name))
 
     return Scenario(
         name=str(raw.get("name", name)),

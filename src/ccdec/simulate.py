@@ -392,6 +392,25 @@ def format_count(count: int) -> int | str:
     return f"{count >> e}*2^{e}"
 
 
+def check_parameter(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is admissible as ``estimate_error``'s ``name`` argument.
+
+    Rules for ``block_length``, ``trials``, ``seed`` and ``rate_bits``; other
+    names pass.  A scenario's simulation block is checked by the same rules.
+    """
+    if name == "block_length" and value < 1:
+        raise ValueError("block_length must be at least 1")
+    if name == "trials" and value < 0:
+        raise ValueError("trials must be nonnegative")
+    if name == "seed" and value < 0:
+        raise ValueError(f"seed must be nonnegative, got {value}")
+    if name == "rate_bits":
+        if not math.isfinite(value):
+            raise ValueError(f"rate_bits must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError("rate_bits must be positive")
+
+
 def estimate_error(
     cset: CompoundSet,
     decoder: Decoder,
@@ -408,16 +427,8 @@ def estimate_error(
     The codeword count is ``M = ceil(2^(n * rate_bits))``.  In codebook mode
     M must be at most ``CODEWORD_CAP``; ensemble mode handles any M.
     """
-    if block_length < 1:
-        raise ValueError("block_length must be at least 1")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if not math.isfinite(rate_bits):
-        raise ValueError(f"rate_bits must be finite, got {rate_bits}")
-    if rate_bits <= 0.0:
-        raise ValueError("rate_bits must be positive")
+    for name, value in (("block_length", block_length), ("trials", trials), ("seed", seed), ("rate_bits", rate_bits)):
+        check_parameter(name, value)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n = block_length

@@ -12,7 +12,7 @@ import ccdec.cli
 import ccdec.rates
 from ccdec.cli import main
 from ccdec.probability import mutual_information
-from ccdec.projection import INFEASIBLE_SLACK, kl_projection
+from ccdec.projection import INFEASIBLE_SLACK, kl_projections
 from ccdec.rates import SetAnalysis, decoder_rates, family
 from ccdec.scenario import BUILTIN_SCENARIOS, _stable, load_scenario
 
@@ -232,7 +232,7 @@ SEEDED_SETS = {
 
 @pytest.fixture(scope="module", params=sorted(SEEDED_SETS))
 def traced_analyze(request, tmp_path_factory):
-    """``analyze`` on a seeded set with ``rates.kl_projection`` wrapped: the results, the scenario and every projection."""
+    """``analyze`` on a seeded set with ``rates.kl_projections`` wrapped: the results, the scenario and every projection."""
     seed, count, components = SEEDED_SETS[request.param]
     rng = np.random.default_rng(seed)
     doc = {"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(count)], "input": [1 / 3] * 3}
@@ -242,13 +242,14 @@ def traced_analyze(request, tmp_path_factory):
     path.write_text(json.dumps(doc))
     made = []
 
-    def spy(*args):
-        made.append(kl_projection(*args))
-        return made[-1]
+    def spy(problems):
+        solved = kl_projections(problems)
+        made.extend(solved)
+        return solved
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(ccdec.rates, "kl_projection", spy)
+        mp.setattr(ccdec.rates, "kl_projections", spy)
         code = main(["analyze", "--scenario", str(path)])
     assert code == 0
     return results(out.getvalue()), load_scenario(str(path)), made
@@ -300,17 +301,18 @@ class TestAnalyzeComputesEachQuantityOnce:
     def test_no_projection_or_information_repeats(self, capsys, monkeypatch, name, projections):
         keys, informations = [], []
 
-        def spy_projection(base, row, col, d, threshold):
+        def spy_projections(problems):
             # The product fixes the channel's marginals; with the metric and
             # the threshold it fixes the projection.
-            keys.append((base.matrix.tobytes(), np.asarray(d).tobytes(), threshold))
-            return kl_projection(base, row, col, d, threshold)
+            for base, row, col, d, threshold in problems:
+                keys.append((base.matrix.tobytes(), np.asarray(d).tobytes(), threshold))
+            return kl_projections(problems)
 
         def spy_information(*args):
             informations.append(args)
             return mutual_information(*args)
 
-        monkeypatch.setattr(ccdec.rates, "kl_projection", spy_projection)
+        monkeypatch.setattr(ccdec.rates, "kl_projections", spy_projections)
         monkeypatch.setattr(ccdec.rates, "mutual_information", spy_information)
         code, _ = run(capsys, "analyze", "--scenario", f"builtin:{name}")
         assert code == 0
@@ -330,12 +332,12 @@ class TestUnreachableThreshold:
         scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
         results_seen = []
 
-        def spy(*args):
-            res = kl_projection(*args)
-            results_seen.append(res)
-            return res
+        def spy(problems):
+            solved = kl_projections(problems)
+            results_seen.extend(solved)
+            return solved
 
-        monkeypatch.setattr(ccdec.rates, "kl_projection", spy)
+        monkeypatch.setattr(ccdec.rates, "kl_projections", spy)
         code, out = run(capsys, "analyze", "--scenario", str(scenario))
         assert code == 0
         unreachable = [r for r in results_seen if not r.feasible]
@@ -472,6 +474,27 @@ class TestSimulate:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: simulation.seed: seed must be nonnegative, got -4\n"
+
+    @pytest.mark.parametrize(
+        "command, block, message",
+        [
+            (["simulate"], {"n": 0}, "simulation.n: block_length must be at least 1"),
+            (["simulate"], {"trials": -2}, "simulation.trials: trials must be nonnegative"),
+            (["simulate"], {"rate_bits": math.nan}, "simulation.rate_bits: rate_bits must be finite, got nan"),
+            (["simulate"], {"rate_bits": 0}, "simulation.rate_bits: rate_bits must be positive"),
+            (["simulate"], {"rate_bits": -0.5}, "simulation.rate_bits: rate_bits must be positive"),
+            # checked when the scenario loads, whatever the command
+            (["analyze"], {"n": 0, "trials": 5}, "simulation.n: block_length must be at least 1"),
+        ],
+    )
+    def test_invalid_scenario_simulation_exits_2_at_its_field(self, capsys, tmp_path, command, block, message):
+        scenario = tmp_path / "simulation.json"
+        scenario.write_text(json.dumps({"channels": [[[0.9, 0.1], [0.1, 0.9]]], "simulation": block}))
+        code = main([*command, "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command, block, key",

@@ -91,7 +91,7 @@ class TestInfeasible:
         def fail(*args):
             raise AssertionError("the reachability LP settles an unreachable threshold before any fit")
 
-        monkeypatch.setattr(ccdec.projection, "_log_fit", fail)
+        monkeypatch.setattr(ccdec.projection, "_lockstep", fail)
 
     def test_threshold_above_polytope_maximum(self, no_fit):
         # max of E_mu[d] over joints with uniform marginals is at x = 1/2: d diagonal-heavy
@@ -144,12 +144,19 @@ class TestSolverContract:
         # inside the bracket; a landing fit repeats an earlier kernel.
         kernels = []
 
-        def spy(log_kernel, *args):
-            kernels.append(log_kernel.copy())
-            return fit(log_kernel, *args)
+        def spy(*args):
+            # Forward the solver's fit requests, recording each kernel.
+            solver, fitted = solve(*args), None
+            try:
+                while True:
+                    request = solver.send(fitted)
+                    kernels.append(request[0].copy())
+                    fitted = yield request
+            except StopIteration as done:
+                return done.value
 
-        fit = ccdec.projection._log_fit
-        monkeypatch.setattr(ccdec.projection, "_log_fit", spy)
+        solve = ccdec.projection._solve
+        monkeypatch.setattr(ccdec.projection, "_solve", spy)
         uniform = Distribution.uniform(2)
         base = Joint(np.full((2, 2), 0.25))
         d = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -328,3 +335,105 @@ class TestSimplex:
             assert (prices @ cols - cost).min() >= -1e-12
             assert prices @ rhs == pytest.approx(cost @ y, abs=1e-12)
 
+
+
+def mixed_problems(rng, count):
+    """Seeded problems up to 9x9: matched metrics, inactive, interior and LP-unreachable thresholds.
+
+    Every fifth problem has a zero input letter and every fifth, offset by
+    one, a zero output letter, so the alive blocks take several shapes.
+    """
+    problems = []
+    for k in range(count):
+        nx, ny = (int(n) for n in rng.integers(1, 10, size=2))
+        p = rng.dirichlet(np.ones(nx))
+        w = rng.dirichlet(np.ones(ny), size=nx)
+        if k % 5 == 1 and nx > 1:
+            p[rng.integers(nx)] = 0.0
+        if k % 5 == 2 and ny > 1:
+            w[:, rng.integers(ny)] = 0.0
+        p /= p.sum()
+        w /= w.sum(axis=1, keepdims=True)
+        mu0 = p[:, None] * w
+        row, col = mu0.sum(axis=1), mu0.sum(axis=0)
+        base = np.outer(row, col)
+        if k % 4 == 0:
+            d = np.log(np.where(w > 0.0, w, 1.0))
+            threshold = float(np.sum(mu0 * d))
+        else:
+            d = rng.normal(size=(nx, ny))
+            alive = np.ix_(row > 0.0, col > 0.0)
+            top = _polytope_max(base[alive] > 0.0, row[row > 0.0], col[col > 0.0], d[alive])
+            low = float(np.sum(base * d))
+            threshold = {1: low - 0.1, 2: low + rng.random() * (top - low), 3: top + 0.01}[k % 4]
+        problems.append((Joint(base), Distribution(row), Distribution(col), d, threshold))
+    return problems
+
+
+def result_bits(res):
+    """Every field of a ``ProjectionResult``, floats as their bytes."""
+    floats = (res.value, res.multiplier, res.marginal_residual, res.constraint_gap)
+    minimizer = None if res.minimizer is None else res.minimizer.matrix.tobytes()
+    return (
+        tuple(np.float64(x).tobytes() for x in floats),
+        res.bisection_steps,
+        res.fit_iterations,
+        res.feasible,
+        minimizer,
+    )
+
+
+class TestBatch:
+    """``kl_projections`` gives each problem the result a lone ``kl_projection`` gives it, bit for bit."""
+
+    def test_matches_lone_calls(self):
+        problems = mixed_problems(np.random.default_rng(11), 40)
+        # The boundary of the diagonal polytope, within the slack: the multiplier caps.
+        mu0 = joint_of(Distribution.uniform(2), Channel.bsc(0.3))
+        problems.insert(7, (mu0.product, mu0.x_marginal, mu0.y_marginal, np.eye(2), 1.0 + 5e-7))
+        lone = [kl_projection(*problem) for problem in problems]
+        batch = ccdec.projection.kl_projections(problems)
+        assert [result_bits(r) for r in batch] == [result_bits(r) for r in lone]
+        shapes = {
+            (int(np.count_nonzero(row.probs)), int(np.count_nonzero(col.probs)))
+            for _, row, col, _, _ in problems
+        }
+        assert max(max(shape) for shape in shapes) == 9
+        assert any(row.size > np.count_nonzero(row.probs) for _, row, _, _, _ in problems)
+        assert any(col.size > np.count_nonzero(col.probs) for _, _, col, _, _ in problems)
+        assert sum(r.feasible and r.multiplier == 0.0 for r in lone) > 0  # inactive
+        assert sum(not r.feasible and r.fit_iterations == 0 for r in lone) > 0  # LP-unreachable
+        assert sum(r.multiplier == 1.0 and r.bisection_steps == 0 for r in lone) > 0  # matched
+        assert sum(r.bisection_steps > 0 for r in lone) > 0
+        assert sum(r.multiplier == ccdec.projection.LAMBDA_CAP and r.fit_iterations > 0 for r in lone) == 1
+
+    def test_empty_batch(self):
+        assert ccdec.projection.kl_projections([]) == []
+
+    def test_first_stalled_problem_raises(self, monkeypatch):
+        # With the fit budget at 1 + 12 lam, the first fit (lam = 1) of each
+        # of these near-boundary problems stops after 13 iterations; the
+        # messages are the ones the per-problem fitting loop gave.
+        monkeypatch.setattr(ccdec.projection, "MAX_FIT_ITERS", 1)
+        rng = np.random.default_rng(4)
+        stalling = []
+        for _ in range(2):
+            row, col = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+            base = np.outer(row, col)
+            d = 3.0 * rng.normal(size=(3, 4))
+            top = _polytope_max(base > 0.0, row, col, d)
+            stalling.append((Joint(base), Distribution(row), Distribution(col), d, top - 1e-3))
+        messages = []
+        for problem in stalling:
+            with pytest.raises(ccdec.projection.SolverError) as lone:
+                kl_projection(*problem)
+            messages.append(str(lone.value))
+        assert messages == [
+            "marginal fitting stalled: residual 5.393e-04 after 13 iterations",
+            "marginal fitting stalled: residual 8.671e-03 after 13 iterations",
+        ]
+        inactive = mixed_problems(np.random.default_rng(11), 2)[1]
+        assert kl_projection(*inactive).multiplier == 0.0
+        with pytest.raises(ccdec.projection.SolverError) as batch:
+            ccdec.projection.kl_projections([inactive, stalling[1], stalling[0]])
+        assert str(batch.value) == messages[1]
