@@ -82,6 +82,7 @@ problem's error is raised once the others finish.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,6 +153,14 @@ def _simplex(cols, rhs, cost, basis: list[int]) -> tuple[np.ndarray, np.ndarray]
     return y, prices
 
 
+@functools.cache
+def _transport_constraints(nx: int, ny: int) -> np.ndarray:
+    """The transportation LP's constraint matrix: row sums, then every column sum but the last; read-only."""
+    cols = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny))[:-1]])
+    cols.flags.writeable = False
+    return cols
+
+
 def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     """Maximum of ``E_mu[d]`` over joints with marginals (r, c) on the support.
 
@@ -162,7 +171,7 @@ def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarr
     coupling; the polytope is then empty and its maximum ``-inf``.
     """
     nx, ny = d.shape
-    cols = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny))[:-1]])
+    cols = _transport_constraints(nx, ny)
     penalty = d.min() - (1.0 + 2.0 * min(nx, ny) * (d.max() - d.min()))
     cost = np.where(support, d, penalty).ravel()
     # The north-west corner walks from cell (0, 0), stepping down at each row's

@@ -22,8 +22,13 @@ Two error estimators share the same estimand (the ensemble-average error of
 a fresh random codebook per trial) and one competitor rule: a competitor
 reaches the true score ``s_true`` when it scores ``>= _tie_threshold(s_true)``,
 and then the trial is an error, so ties are scored pessimistically.  Both
-draw the true word one way, ``_true_word``: word ``msg`` of the trial's
-codebook stream (word 0 for the ensemble), sent through the channel.
+draw the true words one way, ``_true_words``: trial ``t``'s word ``msg`` of
+its codebook stream (word 0 for the ensemble), sent through the channel and
+scored.  Only the seeding of each trial's generators runs per trial; the
+letters, channel outputs, joint types and scores of a chunk of trials take
+one numpy pass each.  A chunk holds ``_CHUNK_SYMBOLS`` symbols, so each of
+its buffers stays far below glibc's mmap threshold and is reused from the
+heap: whole-batch arrays cost resident memory and page faults per call.
 
 * ``method="codebook"`` decodes an explicit random codebook, which caps the
   number of codewords at desk scale.  The codebook is never materialized:
@@ -72,6 +77,9 @@ CODEWORD_CAP = 2**14
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 _FIRST_BLOCK = 256  # codewords in a trial's first scanned block; each later block doubles
 _TYPE_BUDGET = 2_000_000  # joint types one output type's competitor grid may hold
+# Symbols per chunk of true words: 32 KiB per float buffer, well under glibc's
+# 128 KiB mmap threshold, so chunks reuse heap memory instead of faulting it in.
+_CHUNK_SYMBOLS = 4096
 _DECIMAL_LIMIT = 10**4300  # Python's default int-to-str conversion limit is 4300 digits
 
 # Scores within this relative band of the maximum count as tied.  Makes the
@@ -125,10 +133,13 @@ def _draw_symbols(probs: np.ndarray, shape, seed) -> np.ndarray:
 
     ``seed`` is anything ``np.random.default_rng`` takes, a bit generator too.
     """
-    u = np.random.default_rng(seed).random(shape)
-    thresholds = _thresholds(probs)
+    return _letters(np.random.default_rng(seed).random(shape), _thresholds(probs))
+
+
+def _letters(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The letter ``#{c in thresholds : u >= c}`` of each uniform, as int64."""
     if not thresholds.size:  # one letter
-        return np.zeros(shape, dtype=np.int64)
+        return np.zeros(u.shape, dtype=np.int64)
     letters = (u >= thresholds[0]).astype(np.int64)
     for c in thresholds[1:]:
         letters += u >= c
@@ -138,11 +149,21 @@ def _draw_symbols(probs: np.ndarray, shape, seed) -> np.ndarray:
 def transmit(channel: Channel, codeword, seed) -> np.ndarray:
     """Pass a codeword through the channel, sampling each symbol independently."""
     x = np.asarray(codeword)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(channel.matrix, axis=1)
-    u = rng.random(x.shape[0])
-    y = (cum[x] <= u[:, None]).sum(axis=1)
-    return np.minimum(y, channel.ny - 1).astype(np.int64)
+    return _outputs(np.cumsum(channel.matrix, axis=1), x, np.random.default_rng(seed).random(x.shape))
+
+
+def _outputs(cum: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Channel outputs by inverse CDF: ``#{b < |Y| - 1 : cum[x, b] <= u}`` per symbol, as int64.
+
+    ``cum`` holds the cumulative sums of the channel's rows; each row is
+    nondecreasing, so the cuts at or below ``u`` are a prefix of the row,
+    and a uniform past the last cut (a row summing to just below 1) reads
+    the last letter.
+    """
+    y = np.zeros(x.shape, dtype=np.int64)
+    for b in range(cum.shape[1] - 1):
+        y += cum[:, b][x] <= u
+    return y
 
 
 def joint_type_counts(words: np.ndarray, received: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -178,18 +199,31 @@ def _count_log_counts(n: int) -> np.ndarray:
     return table
 
 
-def _type_mutual_information(counts: np.ndarray, n: int) -> np.ndarray:
-    """Mutual information (nats) of each joint type with one received word's output counts.
+def _row_sums(a: np.ndarray, weights: np.ndarray, alone: bool) -> np.ndarray:
+    """``a @ weights`` for an (m, k) array; with ``alone``, each row as a (1, k) product of its own.
+
+    A BLAS product's rounding depends on the number of rows and on a row's
+    place among them, so only ``alone`` gives every row the bits it has as
+    a one-row array, wherever it sits.
+    """
+    return (a[:, None] @ weights)[:, 0] if alone else a @ weights
+
+
+def _type_mutual_information(counts: np.ndarray, n: int, y_counts: np.ndarray | None = None) -> np.ndarray:
+    """Mutual information (nats) of each joint type with its received word's output counts.
 
     With ``t[k] = k log k`` and counts summing to ``n``,
-    ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``; the
-    output counts are the same for every type, so their term is one number.
+    ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``.  Without
+    ``y_counts`` every type shares one received word, so the output term is
+    one number; with one row of output counts per type, each type has a
+    word of its own and is scored alone (``_row_sums``).
     """
     t = _count_log_counts(n)
     m, nx, ny = counts.shape
-    s_xy = np.take(t, counts.reshape(m, -1)) @ np.ones(nx * ny)
-    s_x = np.take(t, counts.sum(axis=2)) @ np.ones(nx)
-    s_y = np.take(t, counts[0].sum(axis=0)).sum()
+    alone = y_counts is not None
+    s_xy = _row_sums(np.take(t, counts.reshape(m, -1)), np.ones(nx * ny), alone)
+    s_x = _row_sums(np.take(t, counts.sum(axis=2)), np.ones(nx), alone)
+    s_y = np.take(t, counts[0].sum(axis=0) if y_counts is None else y_counts).sum(axis=-1)
     return math.log(n) + (s_xy - s_x - s_y) / n
 
 
@@ -198,12 +232,17 @@ def score_codewords(received: np.ndarray, codebook: Codebook, decoder: Decoder, 
     return _score_types(joint_type_counts(codebook.words, received, nx, ny), decoder, codebook.block_length)
 
 
-def _score_types(counts: np.ndarray, decoder: Decoder, n: int) -> np.ndarray:
-    """Each joint type's score: the best metric's type-expectation, or with no metrics its mutual information."""
+def _score_types(counts: np.ndarray, decoder: Decoder, n: int, y_counts: np.ndarray | None = None) -> np.ndarray:
+    """Each joint type's score: the best metric's type-expectation, or with no metrics its mutual information.
+
+    ``y_counts`` as in ``_type_mutual_information``: given, each type is
+    scored alone, bit for bit as ``score_codewords`` scores it.
+    """
     if not decoder.metrics:
-        return _type_mutual_information(counts.astype(np.int64, copy=False), n)
+        return _type_mutual_information(counts.astype(np.int64, copy=False), n, y_counts)
     flat = counts.reshape(counts.shape[0], -1)
-    return np.stack([flat @ _metric_values(d).ravel() / n for d in decoder.metrics]).max(axis=0)
+    alone = y_counts is not None
+    return np.stack([_row_sums(flat, _metric_values(d).ravel(), alone) / n for d in decoder.metrics]).max(axis=0)
 
 
 def decode(received: np.ndarray, codebook: Codebook, decoder: Decoder, nx: int, ny: int) -> int:
@@ -263,11 +302,35 @@ def _blocks(m: int):
         lo, size = hi, 2 * size
 
 
-def _true_word(channel, decoder, input_dist, n, trial, msg) -> tuple[np.ndarray, float]:
-    """Codeword ``msg`` of trial ``(seed, channel index, t)`` through ``channel``: (received word, its score)."""
-    x = _draw_symbols(input_dist.probs, n, np.random.PCG64([*trial, 0]).advance(msg * n))
-    y = transmit(channel, x, [*trial, 2])
-    return y, float(score_codewords(y, Codebook(x[None, :]), decoder, channel.nx, channel.ny)[0])
+def _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
+    """Codeword ``msgs[t]`` of each trial ``t`` of channel ``ch_idx`` sent through ``channel``, a chunk at a time.
+
+    Yields ``(lo, received, y_counts, scores)`` per chunk of trials
+    ``lo, lo + 1, ...``: their received words ``(rows, n)``, output counts
+    ``(rows, |Y|)`` and true scores ``(rows,)``.  Trial ``t`` reads its word
+    from ``PCG64([seed, ch_idx, t, 0])`` advanced ``msgs[t] * n`` draws and
+    its channel uniforms from ``[seed, ch_idx, t, 2]``, and its score is bit
+    for bit that of ``score_codewords`` on the word alone.  Only the
+    seeding is per trial; a chunk's letters, outputs, joint types (one
+    ``bincount``) and scores take one pass each.
+    """
+    nx, ny = channel.nx, channel.ny
+    rows = max(1, _CHUNK_SYMBOLS // n)
+    word_u = np.empty((rows, n))
+    channel_u = np.empty((rows, n))
+    thresholds = _thresholds(input_dist.probs)
+    cum = np.cumsum(channel.matrix, axis=1)
+    for lo in range(0, len(msgs), rows):
+        m = min(rows, len(msgs) - lo)
+        for i, t in enumerate(range(lo, lo + m)):
+            np.random.Generator(np.random.PCG64([seed, ch_idx, t, 0]).advance(msgs[t] * n)).random(out=word_u[i])
+            np.random.default_rng([seed, ch_idx, t, 2]).random(out=channel_u[i])
+        x = _letters(word_u[:m], thresholds)
+        y = _outputs(cum, x, channel_u[:m])
+        cells = x * ny + y + np.arange(0, m * nx * ny, nx * ny)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=m * nx * ny).reshape(m, nx, ny)
+        y_counts = counts.sum(axis=1)
+        yield lo, y, y_counts, _score_types(counts, decoder, n, y_counts)
 
 
 def _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msg, s_true) -> float:
@@ -336,11 +399,12 @@ def _competitor_grid(y_counts, input_dist, decoder, n) -> tuple[np.ndarray, np.n
     ``prob[score >= threshold].sum()``.
     """
     nx = input_dist.size
-    sizes = [math.comb(int(n_b) + nx - 1, nx - 1) for n_b in y_counts]
-    if math.prod(sizes) > _TYPE_BUDGET:
+    size = math.prod(math.comb(int(n_b) + nx - 1, nx - 1) for n_b in y_counts)
+    if size > _TYPE_BUDGET:
+        count = f"{size:.2e}" if size < 1e300 else f"10^{math.log10(size):.0f}"  # an int past 1e308 has no float
         raise ValueError(
-            "analytic competitor integration too large for this alphabet; "
-            "use method='codebook'"
+            f"analytic competitor integration needs {count} joint types at block length {n}, "
+            f"over the budget of {_TYPE_BUDGET:.2e}; use method='codebook'"
         )
     cols = [_compositions(int(n_b), nx) for n_b in y_counts]
     log_fact = _log_factorials(n)
@@ -453,9 +517,10 @@ def estimate_error(
         true_scores = np.empty((cset.size, trials))
         by_type: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for ch_idx, channel in enumerate(cset.channels):
-            for t in range(trials):
-                y, true_scores[ch_idx, t] = _true_word(channel, decoder, input_dist, n, (seed, ch_idx, t), 0)
-                by_type.setdefault(tuple(np.bincount(y, minlength=ny).tolist()), []).append((ch_idx, t))
+            for lo, _, y_counts, scores in _true_words(channel, decoder, input_dist, n, seed, ch_idx, [0] * trials):
+                true_scores[ch_idx, lo : lo + len(scores)] = scores
+                for t, row in enumerate(y_counts.tolist(), start=lo):
+                    by_type.setdefault(tuple(row), []).append((ch_idx, t))
         # Build each output type's competitor grid once; its trials read their tail mass off it.
         q = np.empty((cset.size, trials))
         for y_counts, members in by_type.items():
@@ -474,15 +539,15 @@ def estimate_error(
         tie_errors = 0
         prob_sum = 0.0
         if method == "codebook":
-            for t in range(trials):
-                msg = int(np.random.default_rng([seed, ch_idx, t, 1]).integers(num_codewords))
-                y, s_true = _true_word(channel, decoder, input_dist, n, (seed, ch_idx, t), msg)
-                onehot = (y[:, None] == np.arange(ny)).astype(float)
-                rng = np.random.default_rng([seed, ch_idx, t, 0])
-                best = _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msg, s_true)
-                if best >= _tie_threshold(s_true):
-                    errors += 1
-                    tie_errors += _tie_threshold(best) <= s_true
+            msgs = [int(np.random.default_rng([seed, ch_idx, t, 1]).integers(num_codewords)) for t in range(trials)]
+            for lo, received, _, scores in _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
+                for t, y, s_true in zip(range(lo, lo + len(scores)), received, scores.tolist()):
+                    onehot = (y[:, None] == np.arange(ny)).astype(float)
+                    rng = np.random.default_rng([seed, ch_idx, t, 0])
+                    best = _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msgs[t], s_true)
+                    if best >= _tie_threshold(s_true):
+                        errors += 1
+                        tie_errors += _tie_threshold(best) <= s_true
         else:
             for t in range(trials):
                 e = _any_competitor_reaches(float(q[ch_idx, t]), num_codewords)

@@ -543,6 +543,18 @@ class TestSimulate:
             "lower the rate or blocklength, or use method='ensemble'\n"
         )
 
+    def test_ensemble_type_budget_names_the_block_length(self, capsys):
+        # binary inputs and outputs: about 2001^2 joint types per output type at n = 4000
+        argv = ["simulate", "--scenario", "builtin:bsc-quarter", "--method", "ensemble", "--n", "4000", "--rate", "0.001"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: analytic competitor integration needs 4.00e+06 joint types at block length 4000, "
+            "over the budget of 2.00e+06; use method='codebook'\n"
+        )
+
     def test_seed_changes_results(self, capsys):
         code_a, out_a = run(
             capsys, "simulate", "--scenario", "builtin:bsc-quarter", "--trials", "200", "--seed", "1"

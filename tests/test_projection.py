@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 import ccdec.projection
 from ccdec import Channel, Distribution, Joint, joint_of, kl_divergence, kl_projection, mutual_information
-from ccdec.projection import _logsumexp, _polytope_max, _simplex
+from ccdec.projection import _logsumexp, _polytope_max, _simplex, _transport_constraints
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 
@@ -315,6 +315,16 @@ class TestPolytopeMax:
         support = np.array([[True, False], [True, True]])
         assert _polytope_max(support, r, c, d) == -math.inf
         assert highs_polytope_max(support, r, c, d) == -math.inf
+
+    def test_constraint_matrix_cached_read_only(self):
+        cols = _transport_constraints(3, 4)
+        assert _transport_constraints(3, 4) is cols
+        assert cols.shape == (3 + 4 - 1, 3 * 4)
+        with pytest.raises(ValueError):
+            cols[0, 0] = 2.0
+        # row a sums the cells of input a, row nx + b those of output b
+        np.testing.assert_array_equal(cols.reshape(-1, 3, 4)[1], [[0] * 4, [1] * 4, [0] * 4])
+        np.testing.assert_array_equal(cols.reshape(-1, 3, 4)[3 + 2], [[0, 0, 1, 0]] * 3)
 
 
 class TestSimplex:

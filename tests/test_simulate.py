@@ -128,6 +128,24 @@ class TestTransmit:
         sigma = math.sqrt(0.2 * 0.8 / x.size)
         assert abs(freq - 0.8) <= 3 * sigma
 
+    @pytest.mark.parametrize("ny", [1, 2, 3, 9])
+    def test_counts_cuts_at_or_below_the_uniform(self, rng, ny):
+        # the inverse CDF clamped to the last letter, also where zero entries repeat a cut
+        matrix = rng.dirichlet(np.ones(ny), size=3)
+        matrix[rng.random(matrix.shape) < 0.3] = 0.0
+        matrix[:, -1] += 1.0 - matrix.sum(axis=1)
+        x = rng.integers(3, size=5000)
+        u = np.random.default_rng(8).random(x.size)
+        cum = np.cumsum(matrix, axis=1)
+        want = np.minimum((cum[x] <= u[:, None]).sum(axis=1), ny - 1)
+        assert np.array_equal(transmit(Channel(matrix), x, seed=8), want)
+
+    def test_uniform_past_the_last_cut_reads_the_last_letter(self):
+        w = Channel(np.array([[0.5, 0.5 - 5e-13], [0.25, 0.75]]))  # row 0 sums to just below 1
+        u = np.array([math.nextafter(1.0, 0.0), 0.25, 0.25])
+        y = ccdec.simulate._outputs(np.cumsum(w.matrix, axis=1), np.array([0, 0, 1]), u)
+        assert y.tolist() == [1, 0, 1]
+
 
 class TestDecode:
     def test_single_codeword(self):
@@ -463,6 +481,8 @@ W3 = (
 SCAN_CASES = {
     # set, input, n, (rate below capacity, rate above it)
     "bsc-pair": (CompoundSet((Channel.bsc(0.1), Channel.bsc(0.25))), UNIFORM, 24, (0.1, 0.4)),
+    # 16 true words per chunk, so 20 trials end in a ragged second chunk
+    "noisy-bsc-pair-chunks": (CompoundSet((Channel.bsc(0.3), Channel.bsc(0.45))), UNIFORM, 256, (0.004, 0.035)),
     "three-inputs-one-unused": (CompoundSet(W3), Distribution(np.array([0.5, 0.0, 0.5])), 24, (0.15, 0.5)),
     "one-letter": (CompoundSet((Channel(np.array([[0.2, 0.3, 0.5]])),)), Distribution(np.array([1.0])), 8, (0.3, 1.2)),
 }
@@ -579,6 +599,12 @@ class TestCompetitorExceedance:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_budget_error_past_the_float_range(self):
+        # 16 x 16 types at n = 10^4: about 10^478 joint types, an int with no float
+        y_counts = np.full(16, 625)
+        with pytest.raises(ValueError, match=r"needs 10\^478 joint types at block length 10000, .*'codebook'"):
+            _competitor_grid(y_counts, Distribution.uniform(16), Decoder(), 10_000)
+
 
 class TestOutputTypeGrouping:
     """Trials read off their output type's shared grid agree exactly with trials computed one by one."""
@@ -615,6 +641,10 @@ class TestOutputTypeGrouping:
             ],
             [0.3, 0.3, 0.4], 8, 0.3,
         ),
+        # 40 true words per chunk, so 60 trials end in a ragged second chunk
+        "binary-chunks": (
+            [[[0.95, 0.05], [0.05, 0.95]], [[0.9, 0.1], [0.25, 0.75]]], [0.4, 0.6], 100, 0.55,
+        ),
     }
 
     @pytest.mark.parametrize("decoder", ["gmap", "mmi"])
@@ -650,6 +680,54 @@ class TestOutputTypeGrouping:
         estimate_error(cset, decoder, p, n, rate_bits, 60, seed=4, method="ensemble")
         assert sorted(built) == sorted({y_counts for _, y_counts in types})
         assert len(built) < len(types)  # the channels share output types
+
+
+class TestTrueWords:
+    """The chunked batch of true words against trials drawn, sent and scored one at a time."""
+
+    CASES = {
+        # channels, input, n
+        "binary": ([[[0.9, 0.1], [0.25, 0.75]], [[0.8, 0.2], [0.1, 0.9]]], [0.4, 0.6], 300),
+        "3x3": ([W3[0].matrix.tolist(), W3[1].matrix.tolist()], [0.3, 0.3, 0.4], 40),
+        "zero-mass-letter": ([W3[0].matrix.tolist(), W3[1].matrix.tolist()], [0.5, 0.0, 0.5], 40),
+        "one-letter": ([[[0.2, 0.3, 0.5]], [[0.5, 0.25, 0.25]]], [1.0], 64),
+        "nine-outputs": (
+            np.random.default_rng(5).dirichlet(np.ones(9), size=(2, 3)).tolist(), [0.2, 0.5, 0.3], 50,
+        ),
+    }
+
+    @staticmethod
+    def lone_trials(channel, decoder, p, n, seed, ch_idx, msgs):
+        for t, msg in enumerate(msgs):
+            x = _draw_symbols(p.probs, n, np.random.PCG64([seed, ch_idx, t, 0]).advance(msg * n))
+            y = transmit(channel, x, [seed, ch_idx, t, 2])
+            score = score_codewords(y, Codebook(x[None, :]), decoder, channel.nx, channel.ny)[0]
+            yield y, np.bincount(y, minlength=channel.ny), score
+
+    @pytest.mark.parametrize("kind", ["ml", "gmap", "mmi"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_lone_trials(self, case, kind):
+        matrices, probs, n = self.CASES[case]
+        channels = tuple(Channel(np.array(m)) for m in matrices)
+        p = Distribution(np.array(probs))
+        decoder = family(SetAnalysis(CompoundSet(channels), p), kind)
+        rows = ccdec.simulate._CHUNK_SYMBOLS // n
+        trials = 2 * rows + 3  # two full chunks and a ragged one
+        num_codewords = 2**40
+        msgs = [0, num_codewords - 1, *np.random.default_rng(3).integers(num_codewords, size=trials - 2).tolist()]
+        chunks = list(ccdec.simulate._true_words(channels[1], decoder, p, n, 7, 1, msgs))
+        assert [lo for lo, *_ in chunks] == [0, rows, 2 * rows]
+        received = np.concatenate([y for _, y, _, _ in chunks])
+        y_counts = np.concatenate([c for _, _, c, _ in chunks])
+        scores = np.concatenate([s for *_, s in chunks])
+        want = list(self.lone_trials(channels[1], decoder, p, n, 7, 1, msgs))
+        assert np.array_equal(received, [y for y, _, _ in want])
+        assert np.array_equal(y_counts, [c for _, c, _ in want])
+        assert scores.tobytes() == np.array([s for *_, s in want]).tobytes()
+
+    def test_no_trials_no_chunks(self):
+        p = Distribution(np.array([0.4, 0.6]))
+        assert list(ccdec.simulate._true_words(Channel.bsc(0.1), Decoder(), p, 16, 1, 0, [])) == []
 
 
 class TestLogFactorials:
