@@ -74,18 +74,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="full rate analysis of a compound set")
+    analyze.set_defaults(handler=cmd_analyze)
     capacity = sub.add_parser("capacity", help="compound capacity only")
+    capacity.set_defaults(handler=cmd_capacity)
     one_sided = sub.add_parser("one-sided", help="one-sided verdict and cover")
+    one_sided.set_defaults(handler=cmd_one_sided)
 
     vn = sub.add_parser("vn", help="very-noisy geometry studies")
     vnsub = vn.add_subparsers(dest="vn_command", required=True)
-    _add_common(vnsub.add_parser("counterexample"), scenario_default="builtin:counterexample")
+    counterexample = vnsub.add_parser("counterexample")
+    counterexample.set_defaults(handler=cmd_vn_counterexample)
     sweep = vnsub.add_parser("sweep")
-    _add_common(sweep, scenario_default="builtin:counterexample")
+    sweep.set_defaults(handler=cmd_vn_sweep)
+    blind = vnsub.add_parser("blind")
+    blind.set_defaults(handler=cmd_vn_blind)
+    for p in (counterexample, sweep, blind):
+        _add_common(p, scenario_default="builtin:counterexample")
     sweep.add_argument("--eps", default=None, help="comma-separated epsilon list, e.g. 0.1,0.05,0.025")
-    _add_common(vnsub.add_parser("blind"), scenario_default="builtin:counterexample")
 
     sim = sub.add_parser("simulate", help="Monte Carlo decoder error estimation")
+    sim.set_defaults(handler=cmd_simulate)
     for p in (analyze, capacity, one_sided, sim):
         _add_common(p)
         p.add_argument("--tol", type=float, default=1e-7, help="capacity solver tolerance (nats)")
@@ -265,7 +273,10 @@ def cmd_vn_sweep(args) -> int:
     vnb = scenario.vn
     eps = vnb.epsilons
     if args.eps:
-        eps = tuple(float(e) for e in args.eps.split(","))
+        try:
+            eps = tuple(float(e) for e in args.eps.split(","))
+        except ValueError:
+            raise ValueError(f"eps must be a comma-separated list of numbers, got {args.eps!r}") from None
     dirs = vnb.directions.directions
     instances = {
         "divergence": {"dist": vnb.noise, "direction": dirs[0].values[0]},
@@ -352,21 +363,8 @@ def cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "capacity": cmd_capacity,
-        "one-sided": cmd_one_sided,
-        "simulate": cmd_simulate,
-    }
     try:
-        if args.command == "vn":
-            handler = {
-                "counterexample": cmd_vn_counterexample,
-                "sweep": cmd_vn_sweep,
-                "blind": cmd_vn_blind,
-            }[args.vn_command]
-            return handler(args)
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

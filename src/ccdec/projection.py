@@ -22,9 +22,11 @@ with multiplier ``lam >= 0``.  For a fixed ``lam`` the potentials ``u, v``
 are fitted by iterative proportional fitting (Sinkhorn scaling) so that the
 marginals match; after fitting, ``E_mu[score]`` is nondecreasing in ``lam``,
 so the active multiplier is bracketed by the probes ``lam = 1, 2, 4, ...``
-and located by bisection.  A probe within ``CONSTRAINT_TOL`` of the
-threshold ends the search, the bisection's own stopping rule; a matched
-metric ``log W0`` has the multiplier 1 and stops at its first probe.
+up to the cap and located by bisection.  A probe within ``CONSTRAINT_TOL``
+of the threshold ends the search; a matched metric ``log W0`` has the
+multiplier 1 and stops at its first probe.  Otherwise the bisection ends
+when the bracket is no wider than ``1e-15 max(1, hi)``, within 50 fits,
+and a probe short at the cap leaves no bracket to bisect (``lo == hi``).
 
 Log-domain fitting
 ------------------
@@ -96,9 +98,8 @@ INFEASIBLE_SLACK = 1e-6
 # of the bisection.  Read at each call.
 MARGINAL_TOL = 1e-10
 CONSTRAINT_TOL = 1e-10
-# Fit budget at lam = 0 (it grows by 12 per unit of lam) and bisection cap.
+# Fit budget at lam = 0; it grows by 12 per unit of lam.
 MAX_FIT_ITERS = 5000
-MAX_BISECTIONS = 120
 _SHIFT_FLOOR = -np.finfo(float).max
 # Smallest pivot entry, and reduced cost per unit of the largest cost, the simplex acts on.
 _PIVOT_TOL = 1e-13
@@ -289,7 +290,7 @@ def _lockstep(waiting: dict, results: list) -> None:
         raise errors[min(errors)]
 
 
-def _solve(base: Joint, row: Distribution, col: Distribution, score, threshold: float):
+def _solve(base: Joint, row: Distribution | np.ndarray, col: Distribution | np.ndarray, score, threshold: float):
     """One projection as a generator over its fits; see ``kl_projection``.
 
     It yields each fit it needs as ``(log_kernel, r, c, budget)`` on the
@@ -356,47 +357,40 @@ def _solve(base: Joint, row: Distribution, col: Distribution, score, threshold: 
         total_fit_iters += its
         return mu, float(np.sum(mu * d)), resid
 
-    # Bracket the active multiplier: expand until E(lam) clears the threshold or
-    # meets it within the bisection's own tolerance.  A matched metric's first
-    # probe, lam = 1, is the exact multiplier up to roundoff.
-    lo = 0.0
-    hi = 1.0
-    capped = False
+    # Bracket the active multiplier: double it until E(lam) clears the threshold
+    # or meets it within the bisection's own tolerance.  A matched metric's first
+    # probe, lam = 1, is the exact multiplier up to roundoff.  A probe short at
+    # the cap closes the bracket there (lo == hi), so no bisection follows.
+    lo, hi = 0.0, 1.0
     while True:
-        hi = min(hi, LAMBDA_CAP)
         mu, expect, resid = yield from fit(hi)
         if expect >= threshold - CONSTRAINT_TOL:
             break
         lo = hi
         if hi >= LAMBDA_CAP:
-            capped = True
             break
-        hi *= 2.0
+        hi = min(2.0 * hi, LAMBDA_CAP)
 
-    if capped and expect < threshold - INFEASIBLE_SLACK:
-        # Within the slack of the maximum, yet out of the capped multiplier's reach.
+    if expect < threshold - INFEASIBLE_SLACK:
+        # Short at the cap: within the slack of the maximum, yet out of the multiplier's reach.
         return infeasible(expect, resid)
 
-    # Bisection on the monotone map lam -> E(lam); ``steps`` counts its fits.
+    # Bisection on the monotone map lam -> E(lam); ``steps`` counts its fits.  The
+    # width rule ends it within 50: the bracket starts no wider than max(1, lo).
     steps = 0
     lam = hi
-    if not capped:
-        while (
-            abs(expect - threshold) > CONSTRAINT_TOL
-            and hi - lo > 1e-15 * max(1.0, hi)
-            and steps < MAX_BISECTIONS
-        ):
-            steps += 1
-            lam = 0.5 * (lo + hi)
-            mu, expect, resid = yield from fit(lam)
-            if expect >= threshold:
-                hi = lam
-            else:
-                lo = lam
-        if lam < hi:
-            # The last fit fell short: land on the feasible side of the bracket.
-            mu, expect, resid = yield from fit(hi)
-            lam = hi
+    while abs(expect - threshold) > CONSTRAINT_TOL and hi - lo > 1e-15 * max(1.0, hi):
+        steps += 1
+        lam = 0.5 * (lo + hi)
+        mu, expect, resid = yield from fit(lam)
+        if expect >= threshold:
+            hi = lam
+        else:
+            lo = lam
+    if lam < hi:
+        # The last fit fell short: land on the feasible side of the bracket.
+        mu, expect, resid = yield from fit(hi)
+        lam = hi
 
     on = mu > SUPPORT_FLOOR
     log_ratio = np.log(np.where(on, mu, 1.0)) - np.where(on, log_b, 0.0)
@@ -439,8 +433,8 @@ def kl_projections(problems) -> list[ProjectionResult]:
 
 def kl_projection(
     base: Joint,
-    row: Distribution,
-    col: Distribution,
+    row: Distribution | np.ndarray,
+    col: Distribution | np.ndarray,
     score,
     threshold: float,
 ) -> ProjectionResult:
@@ -451,7 +445,7 @@ def kl_projection(
     base : Joint
         Reference joint; the caller normally passes the product distribution
         ``mu0^p`` whose marginals are exactly (row, col).
-    row, col : Distribution
+    row, col : Distribution or array_like
         Required X and Y marginals of the feasible joints.
     score : array_like
         |X| x |Y| score matrix (finite entries).

@@ -258,7 +258,7 @@ class WorstChannelResult:
     tie_indices: tuple[int, ...]
 
 
-def min_with_ties(values: np.ndarray, tie_tol: float) -> tuple[int, tuple[int, ...]]:
+def min_with_ties(values: np.ndarray, tie_tol: float = WORST_TIE_TOL) -> tuple[int, tuple[int, ...]]:
     """First index of the minimum, and every index whose value is within ``tie_tol`` of it."""
     idx = int(np.argmin(values))
     return idx, tuple(int(i) for i in np.flatnonzero(values <= values[idx] + tie_tol))
@@ -278,9 +278,9 @@ def worst_channel(cset: CompoundSet, input_dist: Distribution) -> WorstChannelRe
 class OneSidedVerdict:
     """Outcome of a one-sided check.
 
-    ``margins[k]`` is member ``k``'s slack (negative: a violation).  The
-    check stops at the first violator, the ``witness``, so later entries are
-    NaN; ``margins`` is None when a tied worst member leaves it undefined.
+    ``margins[k]`` is member ``k``'s slack (negative: a violation).  Entries
+    past the first violator, the ``witness``, are NaN; ``margins`` is None
+    when a tied worst member leaves it undefined.
     """
 
     one_sided: bool
@@ -293,24 +293,26 @@ class OneSidedVerdict:
         return self.one_sided
 
 
-def one_sided_verdict(values: np.ndarray, margin, member: str) -> OneSidedVerdict:
-    """One-sided verdict for members with capacity terms ``values`` and slacks ``margin(k, worst)``.
+def one_sided_verdict(values: np.ndarray, margins: np.ndarray, member: str) -> OneSidedVerdict:
+    """One-sided verdict for members with capacity terms ``values`` and the ``(K, K)`` slack table ``margins``.
 
-    A worst member tied within ``WORST_TIE_TOL`` declines to classify and
-    returns the tie as the witness; else the first margin below
-    ``-ONE_SIDED_SLACK`` is the witness.
+    ``margins[k, s]`` is member ``k``'s slack in the split at member ``s``;
+    only the worst member's column is read.  A worst member tied within
+    ``WORST_TIE_TOL`` declines to classify and returns the tie as the
+    witness; else the first slack below ``-ONE_SIDED_SLACK`` is the witness.
     """
-    worst, tied = min_with_ties(values, WORST_TIE_TOL)
+    worst, tied = min_with_ties(values)
     if len(tied) > 1:
         reason = f"worst {member} not unique: indices {tied} within {WORST_TIE_TOL}"
         return OneSidedVerdict(False, tied[1], reason, None)
-    margins = np.full(len(values), math.nan)
-    for k in range(len(values)):
-        margins[k] = margin(k, worst)
-        if margins[k] < -ONE_SIDED_SLACK:
-            reason = f"{member} {k} violates the divergence split by {margins[k]:.3e}"
-            return OneSidedVerdict(False, k, reason, worst, margins)
-    return OneSidedVerdict(True, None, "all members satisfy the divergence split", worst, margins)
+    column = margins[:, worst].copy()
+    violators = np.flatnonzero(column < -ONE_SIDED_SLACK)
+    if not violators.size:
+        return OneSidedVerdict(True, None, "all members satisfy the divergence split", worst, column)
+    k = int(violators[0])
+    column[k + 1 :] = math.nan
+    reason = f"{member} {k} violates the divergence split by {column[k]:.3e}"
+    return OneSidedVerdict(False, k, reason, worst, column)
 
 
 class SetAnalysis:
@@ -373,23 +375,18 @@ class SetAnalysis:
         return np.subtract(to_product, rhs, out=np.zeros_like(rhs), where=~both)
 
     @functools.cached_property
-    def joints(self) -> tuple[Joint, ...]:
-        return tuple(Joint(m) for m in self._stacked[0])
-
-    @functools.cached_property
     def products(self) -> tuple[Joint, ...]:
         return tuple(Joint(m) for m in self._stacked[1])
 
     @property
     def worst(self) -> WorstChannelResult:
-        idx, tied = min_with_ties(self.informations, WORST_TIE_TOL)
+        idx, tied = min_with_ties(self.informations)
         return WorstChannelResult(idx, self.cset.channels[idx], self.informations, len(tied) > 1, tied)
 
     def verdict(self, block=None) -> OneSidedVerdict:
         """``is_one_sided`` of the set, or of the channels in ``block`` with indices local to it."""
-        blk = range(self.cset.size) if block is None else tuple(block)
-        values = self.informations[list(blk)]
-        return one_sided_verdict(values, lambda k, s: self.margins[blk[k], blk[s]], "channel")
+        blk = list(range(self.cset.size) if block is None else block)
+        return one_sided_verdict(self.informations[blk], self.margins[np.ix_(blk, blk)], "channel")
 
     @functools.cached_property
     def cover(self) -> tuple[tuple[int, ...], ...]:
@@ -431,10 +428,10 @@ class SetAnalysis:
             ds = [_metric_values(d) for d in metrics]
             if not ds:
                 raise ValueError("SetAnalysis.rate: need at least one metric")
-            mu0 = self.joints[k]
-            row, col = mu0.x_marginal, mu0.y_marginal
-            threshold = max(float(np.sum(mu0.matrix * d)) for d in ds)
-            keys = [(row.probs.tobytes(), col.probs.tobytes(), d.tobytes(), threshold) for d in ds]
+            mu0 = self._stacked[0][k]
+            row, col = mu0.sum(axis=1), mu0.sum(axis=0)
+            threshold = max(float(np.sum(mu0 * d)) for d in ds)
+            keys = [(row.tobytes(), col.tobytes(), d.tobytes(), threshold) for d in ds]
             for key, d in zip(keys, ds):
                 if key not in self._projections and key not in missing:
                     missing[key] = (self.products[k], row, col, d, threshold)

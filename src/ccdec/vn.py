@@ -42,7 +42,6 @@ import numpy as np
 
 from .probability import Channel, Distribution, _values, joint_of, kl_divergence
 from .rates import (
-    WORST_TIE_TOL,
     CompoundSet,
     Metric,
     OneSidedVerdict,
@@ -213,7 +212,7 @@ def vn_compound_capacity(dset: DirectionSet, input_dist: Distribution) -> VnCapa
     """Minimum centered squared norm over the set, with the worst direction."""
     *_, gt = _gram(dset.directions, input_dist)
     norms = gt.diagonal().copy()
-    idx, tied = min_with_ties(norms, WORST_TIE_TOL)
+    idx, tied = min_with_ties(norms)
     return VnCapacityResult(
         value=float(norms[idx]),
         worst_index=idx,
@@ -232,7 +231,7 @@ def vn_is_one_sided(dset: DirectionSet, input_dist: Distribution) -> OneSidedVer
     worst direction whose projection dominates the worst norm.
     """
     *_, gt = _gram(dset.directions, input_dist)
-    return one_sided_verdict(gt.diagonal(), lambda k, s: 2.0 * float(gt[k, s] - gt[s, s]), "direction")
+    return one_sided_verdict(gt.diagonal(), 2.0 * (gt - gt.diagonal()[None, :]), "direction")
 
 
 def _case_rate(scores: np.ndarray, gt: np.ndarray) -> float:

@@ -368,6 +368,12 @@ class TestVnSweep:
         assert main(["vn", "sweep", "--eps", eps]) == 2
         assert f"error: eps must be finite and positive, got {float(eps)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["0.1,abc", "0.1,"])
+    def test_non_numeric_eps_exits_2_naming_eps(self, capsys, eps):
+        assert main(["vn", "sweep", "--eps", eps]) == 2
+        err = capsys.readouterr().err
+        assert f"error: eps must be a comma-separated list of numbers, got {eps!r}" in err
+
 
 class TestVnBlind:
     def test_matched_metrics_reach_capacity(self, capsys):

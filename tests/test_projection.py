@@ -176,6 +176,26 @@ class TestSolverContract:
             landed += not fresh[-1]
         assert landed > 0
 
+    def test_width_rule_ends_the_bisection(self, monkeypatch):
+        # With no expectation tolerance only the width rule ends the bisection:
+        # the bracket starts no wider than max(1, lo) and stops at 1e-15 max(1, hi).
+        monkeypatch.setattr(ccdec.projection, "CONSTRAINT_TOL", 0.0)
+        rng = np.random.default_rng(5)
+        steps = []
+        for _ in range(20):
+            nx, ny = (int(n) for n in rng.integers(2, 5, size=2))
+            row, col = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+            base = np.outer(row, col)
+            d = rng.normal(size=(nx, ny))
+            low = float(np.sum(base * d))
+            top = _polytope_max(base > 0.0, row, col, d)
+            threshold = low + rng.random() * (top - low)
+            res = kl_projection(Joint(base), Distribution(row), Distribution(col), d, threshold)
+            assert res.feasible and res.multiplier > 0.0
+            steps.append(res.bisection_steps)
+        assert max(steps) <= 50
+        assert max(steps) >= 45
+
     def test_minimizer_matches_value(self, rng):
         for _ in range(10):
             p = random_distribution(rng, 2)
