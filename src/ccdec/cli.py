@@ -272,7 +272,7 @@ def cmd_vn_sweep(args) -> int:
     scenario, p_x = _vn_input(args)
     vnb = scenario.vn
     eps = vnb.epsilons
-    if args.eps:
+    if args.eps is not None:
         try:
             eps = tuple(float(e) for e in args.eps.split(","))
         except ValueError:

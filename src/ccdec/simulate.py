@@ -18,26 +18,42 @@ letter's row.  Every count is an integer in ``0..n``, so the MMI score
 reads ``k log k`` from one table of ``n + 1`` entries:
 ``I = log n + (sum t[c_xy] - sum t[c_x] - sum t[c_y]) / n``.
 
+Every trial seeds its generators from ``[seed, channel, trial, k]``: the
+true word from ``k = 0``, the message from 1, the channel from 2 and the
+ensemble's Bernoulli draw from 3.  ``_trial_states`` runs numpy's
+``SeedSequence`` hash and PCG64 seeding for all trials of a channel in one
+vectorized pass, and one generator is reset to each state in turn, so
+every stream is the one ``np.random.default_rng([seed, channel, trial, k])``
+gives.
+
 Two error estimators share the same estimand (the ensemble-average error of
 a fresh random codebook per trial) and one competitor rule: a competitor
 reaches the true score ``s_true`` when it scores ``>= _tie_threshold(s_true)``,
 and then the trial is an error, so ties are scored pessimistically.  Both
 draw the true words one way, ``_true_words``: trial ``t``'s word ``msg`` of
 its codebook stream (word 0 for the ensemble), sent through the channel and
-scored.  Only the seeding of each trial's generators runs per trial; the
-letters, channel outputs, joint types and scores of a chunk of trials take
-one numpy pass each.  A chunk holds ``_CHUNK_SYMBOLS`` symbols, so each of
-its buffers stays far below glibc's mmap threshold and is reused from the
-heap: whole-batch arrays cost resident memory and page faults per call.
+scored.  The letters, channel outputs, joint types and scores of a chunk of
+trials take one numpy pass each.  A chunk holds ``_CHUNK_SYMBOLS`` symbols,
+so each of its buffers stays far below glibc's mmap threshold and is reused
+from the heap: whole-batch arrays cost resident memory and page faults per
+call.
 
 * ``method="codebook"`` decodes an explicit random codebook, which caps the
   number of codewords at desk scale.  The codebook is never materialized:
   word ``i`` of trial ``t`` is row ``i`` of its stream's ``(M, n)``
-  uniforms, and the true word is drawn first, from a second bit generator
+  uniforms, and the true word is drawn first, from the same stream
   advanced ``msg * n`` steps.  The competitors stream through one buffer,
-  allocated once per call, in blocks of ``_FIRST_BLOCK`` rows and doubling;
-  their joint types are counted straight from the uniforms, and the scan
-  keeps only the best competitor score ``best``.  The trial is an error
+  allocated once per call, in blocks of ``_FIRST_BLOCK`` rows and doubling.
+  Their joint types are counted straight from the uniforms in column
+  layout: for each letter ``a >= 1``, float32 indicators times a float32
+  one-hot give a ``(|Y|, rows)`` array of the counts of letters ``>= a``
+  per output letter, exact while ``n <= 2^24`` (a longer block is
+  rejected).  Each block is scored
+  with a few whole-array operations along axis 0 (``_competitor_scores``),
+  and the scan keeps only the best competitor score ``best``.  Those scores
+  equal ``score_codewords``' in exact arithmetic but are summed in another
+  order, so they may differ from it by rounding, far inside ``_TIE_BAND``;
+  the true score keeps ``score_codewords``' arithmetic.  The trial is an error
   when ``best >= _tie_threshold(s_true)``, and a tie when also
   ``_tie_threshold(best) <= s_true``.  ``_tie_threshold`` is strictly below
   its argument and nondecreasing, so these are the counts ``decode``'s tie
@@ -80,6 +96,8 @@ _TYPE_BUDGET = 2_000_000  # joint types one output type's competitor grid may ho
 # Symbols per chunk of true words: 32 KiB per float buffer, well under glibc's
 # 128 KiB mmap threshold, so chunks reuse heap memory instead of faulting it in.
 _CHUNK_SYMBOLS = 4096
+# Longest block whose codebook-scan type counts, sums of 0/1 floats, are exact in float32.
+_EXACT_FLOAT32 = 2**24
 _DECIMAL_LIMIT = 10**4300  # Python's default int-to-str conversion limit is 4300 digits
 
 # Scores within this relative band of the maximum count as tied.  Makes the
@@ -169,24 +187,38 @@ def _outputs(cum: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 def joint_type_counts(words: np.ndarray, received: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """Per-codeword joint symbol counts with the received word: (M, nx, ny), exact in float64 below 2^53."""
     onehot = (received[:, None] == np.arange(ny)).astype(float)
-    counts = _count_joint_types(words, range(1, nx), onehot, np.empty(words.shape))
-    return counts.astype(np.int64)
+    at_least = _counts_at_least(words, range(1, nx), onehot, np.empty(words.shape))
+    counts = _letter_counts(at_least, onehot.sum(axis=0))
+    return np.ascontiguousarray(counts.transpose(2, 0, 1), dtype=np.int64)
 
 
-def _count_joint_types(source: np.ndarray, cuts, onehot: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Joint counts (m, nx, ny), as floats, of the letters ``#{c in cuts : source >= c}`` with a received word.
+def _counts_at_least(source: np.ndarray, cuts, onehot: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Per output letter, the count of letters ``>= a`` for ``a = 1..len(cuts)``: (len(cuts), |Y|, rows).
 
-    ``onehot`` is the received word's (n, ny) indicator matrix and ``buf`` an
-    (m, n) float scratch array.  Row ``a`` of each type first holds the
-    count of letters ``>= a`` per output letter: the output counts for
-    ``a = 0``, else one product ``(source >= cuts[a - 1]) @ onehot``.
-    Subtracting row ``a + 1`` leaves the letters equal to ``a``.
+    The letter of an entry of the (rows, n) ``source`` is
+    ``#{c in cuts : entry >= c}``, so it is ``>= a`` exactly when the entry
+    is ``>= cuts[a - 1]``.  ``onehot`` is the received word's (n, |Y|)
+    indicator matrix and ``buf`` a (rows, n) scratch array of its dtype, in
+    which every count is an exact integer: in float32 while ``n <= 2^24``,
+    in float64 below 2^53.  Each product is formed (rows, |Y|), the shape
+    BLAS multiplies fast, and stored transposed.
     """
-    counts = np.empty((source.shape[0], len(cuts) + 1, onehot.shape[1]))
-    counts[:, 0] = onehot.sum(axis=0)
-    for a, c in enumerate(cuts, start=1):
-        counts[:, a] = np.greater_equal(source, c, out=buf) @ onehot
-    counts[:, :-1] -= counts[:, 1:]
+    out = np.empty((len(cuts), onehot.shape[1], source.shape[0]), dtype=buf.dtype)
+    for a, c in enumerate(cuts):
+        out[a] = (np.greater_equal(source, c, out=buf) @ onehot).T
+    return out
+
+
+def _letter_counts(at_least: np.ndarray, y_counts: np.ndarray) -> np.ndarray:
+    """Joint counts (nx, |Y|, rows) from ``_counts_at_least`` and the received word's output counts.
+
+    Row ``a`` is the count of letters ``>= a`` less that of letters
+    ``>= a + 1``, with the output counts for ``a = 0``.
+    """
+    counts = np.empty((at_least.shape[0] + 1, *at_least.shape[1:]), dtype=at_least.dtype)
+    counts[0] = y_counts[:, None]
+    counts[1:] = at_least
+    counts[:-1] -= at_least
     return counts
 
 
@@ -293,6 +325,92 @@ class TrialStats:
             raise ValueError("errors cannot exceed trials")
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run on uint32
+# lanes held in uint64 arrays.  Every constant is an np.uint64, so the lanes
+# keep their dtype under numpy 1's value-based casting as under NEP 50.
+_MASK32 = np.uint64(0xFFFF_FFFF)
+_XSHIFT = np.uint64(16)
+_MIX_MULT_L = np.uint64(0xCA01_F9DD)
+_MIX_MULT_R = np.uint64(0x4973_F715)
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int):
+    """The running hash constant before and after each hash step, as np.uint64 pairs."""
+    c = init
+    while True:
+        nxt = c * mult & 0xFFFF_FFFF
+        yield np.uint64(c), np.uint64(nxt)
+        c = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    c, nxt = next(consts)
+    value = (value ^ c) * nxt & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> _XSHIFT
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The entropy words of a nonnegative int, least significant first: ``[0]`` for 0."""
+    words = [value & 0xFFFF_FFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFF_FFFF)
+    return words
+
+
+def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` lane by lane, for at least 4 uint32 entropy lanes ``e``."""
+    consts = _hash_constants(0x43B0_D7E5, 0x931E_8875)  # INIT_A, MULT_A
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(word, consts))
+    consts = _hash_constants(0x8B51_F9DD, 0x58F3_8DED)  # INIT_B, MULT_B
+    state = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(8)]
+    return [lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _trial_states(seed: int, ch_idx: int, ts, k: int) -> list[dict]:
+    """The starting state of ``np.random.PCG64([seed, ch_idx, t, k])`` for each trial ``t`` of ``ts``.
+
+    One hashed pass for all trials.  The entropy words are those
+    ``SeedSequence`` takes from ``[seed, ch_idx, t, k]``: each int split
+    into 32-bit words, so a ``t`` of 2^32 or more has two and is hashed
+    with the others of its width.  The four uint64 words the hash generates
+    are the 128-bit ``initstate`` and ``initseq`` of ``pcg64_srandom_r``,
+    which sets ``inc = 2 initseq + 1`` and
+    ``state = (inc + initstate) MULT + inc``.  Assigned to a PCG64's
+    ``state``, each starts it where the seeded one starts, with no buffered
+    32-bit draw.
+    """
+    t = np.asarray(ts, dtype=np.uint64)
+    words = np.empty((4, len(t)), dtype=np.uint64)
+    for wide in (False, True):
+        idx = np.flatnonzero((t > _MASK32) == wide)
+        if idx.size:
+            fixed = [[np.full(idx.size, w, dtype=np.uint64) for w in _uint32_words(v)] for v in (seed, ch_idx, k)]
+            lanes = [t[idx] & _MASK32, t[idx] >> np.uint64(32)][: 1 + wide]
+            words[:, idx] = _seed_words(fixed[0] + fixed[1] + lanes + fixed[2])
+    return [_pcg64_state(s_hi << 64 | s_lo, q_hi << 64 | q_lo) for s_hi, s_lo, q_hi, q_lo in zip(*words.tolist())]
+
+
+def _pcg64_state(initstate: int, initseq: int) -> dict:
+    inc = (initseq << 1 | 1) & _MASK128
+    state = (initstate + inc) * _PCG64_MULT + inc & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
 def _blocks(m: int):
     """Row ranges ``[lo, hi)`` covering ``0..m``: ``_FIRST_BLOCK`` rows, then doubling."""
     lo, size = 0, _FIRST_BLOCK
@@ -310,9 +428,11 @@ def _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
     ``(rows, |Y|)`` and true scores ``(rows,)``.  Trial ``t`` reads its word
     from ``PCG64([seed, ch_idx, t, 0])`` advanced ``msgs[t] * n`` draws and
     its channel uniforms from ``[seed, ch_idx, t, 2]``, and its score is bit
-    for bit that of ``score_codewords`` on the word alone.  Only the
-    seeding is per trial; a chunk's letters, outputs, joint types (one
-    ``bincount``) and scores take one pass each.
+    for bit that of ``score_codewords`` on the word alone.  The states of
+    the trials' word and channel streams come from ``_trial_states``, one
+    hashed pass each, and one generator is reset to each in turn; a chunk's
+    letters, outputs, joint types (one ``bincount``) and scores take one
+    pass each.
     """
     nx, ny = channel.nx, channel.ny
     rows = max(1, _CHUNK_SYMBOLS // n)
@@ -320,11 +440,17 @@ def _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
     channel_u = np.empty((rows, n))
     thresholds = _thresholds(input_dist.probs)
     cum = np.cumsum(channel.matrix, axis=1)
+    word_states = _trial_states(seed, ch_idx, range(len(msgs)), 0)
+    channel_states = _trial_states(seed, ch_idx, range(len(msgs)), 2)
+    rng = np.random.Generator(np.random.PCG64())
     for lo in range(0, len(msgs), rows):
         m = min(rows, len(msgs) - lo)
         for i, t in enumerate(range(lo, lo + m)):
-            np.random.Generator(np.random.PCG64([seed, ch_idx, t, 0]).advance(msgs[t] * n)).random(out=word_u[i])
-            np.random.default_rng([seed, ch_idx, t, 2]).random(out=channel_u[i])
+            rng.bit_generator.state = word_states[t]
+            rng.bit_generator.advance(msgs[t] * n)
+            rng.random(out=word_u[i])
+            rng.bit_generator.state = channel_states[t]
+            rng.random(out=channel_u[i])
         x = _letters(word_u[:m], thresholds)
         y = _outputs(cum, x, channel_u[:m])
         cells = x * ny + y + np.arange(0, m * nx * ny, nx * ny)[:, None]
@@ -333,13 +459,39 @@ def _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
         yield lo, y, y_counts, _score_types(counts, decoder, n, y_counts)
 
 
-def _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msg, s_true) -> float:
+def _competitor_scores(at_least: np.ndarray, y_counts: np.ndarray, decoder: Decoder, n: int) -> np.ndarray:
+    """The scores of a block of competitors, from ``_counts_at_least`` (nx - 1, |Y|, rows) and the output counts.
+
+    Works on whole ``(J, rows)`` and ``(|X||Y|, rows)`` arrays.  A metric
+    ``d`` scores ``(y_counts . d[0] + sum_a (d[a] - d[a - 1]) . G_a) / n``,
+    with ``G_a`` the counts of letters ``>= a``: the type-expectation of
+    ``d``, summed by parts.  The MMI score sums ``k log k`` down the columns
+    of the joint and input counts.  In exact arithmetic these are
+    ``_score_types``' scores; in floats they round differently, by far
+    less than ``_TIE_BAND``.
+    """
+    if decoder.metrics:
+        d = np.stack([_metric_values(m) for m in decoder.metrics])
+        steps = np.diff(d, axis=1).reshape(len(d), -1)
+        scores = steps @ at_least.reshape(steps.shape[1], at_least.shape[-1]).astype(float)
+        scores += (d[:, 0] @ y_counts)[:, None]
+        return scores.max(axis=0) / n
+    t = _count_log_counts(n)
+    counts = _letter_counts(at_least, y_counts).astype(np.intp)
+    s_xy = np.take(t, counts.reshape(-1, counts.shape[-1])).sum(axis=0)
+    s_x = np.take(t, counts.sum(axis=1)).sum(axis=0)
+    return math.log(n) + (s_xy - s_x - t[y_counts].sum()) / n
+
+
+def _scan_codebook(rng, thresholds, onehot, y_counts, decoder, scratch, num_codewords, msg, s_true) -> float:
     """The best competitor score of a trial's codebook, block by block from its uniform stream ``rng``.
 
     Word ``i`` is row ``i`` of ``rng.random((M, n))`` and row ``msg``, the
-    true word, is no competitor; ``onehot`` is the received word's indicator
-    matrix and ``scratch`` two (rows, n) arrays.  Stops at the first block
-    that brings ``_tie_threshold(best)`` above ``s_true``.
+    true word, is no competitor.  ``onehot`` is the received word's float32
+    (n, |Y|) indicator matrix and ``y_counts`` its output counts, and
+    ``scratch`` a (rows, n) float64 array for the uniforms and a float32 one
+    for their indicators.  Stops at the first block that brings
+    ``_tie_threshold(best)`` above ``s_true``.
     """
     uniforms, indicators = scratch
     n = onehot.shape[0]
@@ -347,7 +499,8 @@ def _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msg
     for lo, hi in _blocks(num_codewords):
         u = uniforms[: hi - lo]
         rng.random(out=u)
-        scores = _score_types(_count_joint_types(u, thresholds, onehot, indicators[: hi - lo]), decoder, n)
+        at_least = _counts_at_least(u, thresholds, onehot, indicators[: hi - lo])
+        scores = _competitor_scores(at_least, y_counts, decoder, n)
         if lo <= msg < hi:
             scores[msg - lo] = -math.inf
         best = max(best, float(scores.max()))
@@ -489,7 +642,8 @@ def estimate_error(
     """Per-channel error statistics at rate ``rate_bits`` (bits per symbol).
 
     The codeword count is ``M = ceil(2^(n * rate_bits))``.  In codebook mode
-    M must be at most ``CODEWORD_CAP``; ensemble mode handles any M.
+    M must be at most ``CODEWORD_CAP`` and n at most 2^24; ensemble mode
+    handles any M.
     """
     for name, value in (("block_length", block_length), ("trials", trials), ("seed", seed), ("rate_bits", rate_bits)):
         check_parameter(name, value)
@@ -505,6 +659,11 @@ def estimate_error(
         raise ValueError(
             f"M={format_count(num_codewords)} codewords exceeds the cap {CODEWORD_CAP}; "
             "lower the rate or blocklength, or use method='ensemble'"
+        )
+    if method == "codebook" and n > _EXACT_FLOAT32:
+        raise ValueError(
+            f"block_length {n} exceeds 2^24 = {_EXACT_FLOAT32}, past which the codebook scan's "
+            "float32 type counts are not exact; lower the blocklength"
         )
 
     nx = cset.channels[0].nx
@@ -529,9 +688,11 @@ def estimate_error(
                 q[ch_idx, t] = prob[score >= _tie_threshold(float(true_scores[ch_idx, t]))].sum()
             del prob, score  # one grid alive at a time
 
+    rng = np.random.Generator(np.random.PCG64())  # reset to each trial's stream in turn
     if method == "codebook":  # allocated once: every trial's scan reuses them
         thresholds = _thresholds(input_dist.probs)
-        scratch = np.empty((2, max(hi - lo for lo, hi in _blocks(num_codewords)), n))
+        rows = max(hi - lo for lo, hi in _blocks(num_codewords))
+        scratch = np.empty((rows, n)), np.empty((rows, n), dtype=np.float32)
 
     out = []
     for ch_idx, channel in enumerate(cset.channels):
@@ -539,20 +700,27 @@ def estimate_error(
         tie_errors = 0
         prob_sum = 0.0
         if method == "codebook":
-            msgs = [int(np.random.default_rng([seed, ch_idx, t, 1]).integers(num_codewords)) for t in range(trials)]
-            for lo, received, _, scores in _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
-                for t, y, s_true in zip(range(lo, lo + len(scores)), received, scores.tolist()):
-                    onehot = (y[:, None] == np.arange(ny)).astype(float)
-                    rng = np.random.default_rng([seed, ch_idx, t, 0])
-                    best = _scan_codebook(rng, thresholds, onehot, decoder, scratch, num_codewords, msgs[t], s_true)
+            msgs = []
+            for state in _trial_states(seed, ch_idx, range(trials), 1):
+                rng.bit_generator.state = state
+                msgs.append(int(rng.integers(num_codewords)))
+            scan_states = _trial_states(seed, ch_idx, range(trials), 0)
+            for lo, received, y_counts, scores in _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
+                for t, y, y_count, s_true in zip(range(lo, lo + len(scores)), received, y_counts, scores.tolist()):
+                    onehot = (y[:, None] == np.arange(ny)).astype(np.float32)
+                    rng.bit_generator.state = scan_states[t]
+                    best = _scan_codebook(
+                        rng, thresholds, onehot, y_count, decoder, scratch, num_codewords, msgs[t], s_true
+                    )
                     if best >= _tie_threshold(s_true):
                         errors += 1
                         tie_errors += _tie_threshold(best) <= s_true
         else:
-            for t in range(trials):
+            for t, state in enumerate(_trial_states(seed, ch_idx, range(trials), 3)):
                 e = _any_competitor_reaches(float(q[ch_idx, t]), num_codewords)
                 prob_sum += e
-                if np.random.default_rng([seed, ch_idx, t, 3]).random() < e:
+                rng.bit_generator.state = state
+                if rng.random() < e:
                     errors += 1
         low, high = wilson_interval(errors, trials)
         out.append(

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,7 +369,7 @@ class TestVnSweep:
         assert main(["vn", "sweep", "--eps", eps]) == 2
         assert f"error: eps must be finite and positive, got {float(eps)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eps", ["0.1,abc", "0.1,"])
+    @pytest.mark.parametrize("eps", ["0.1,abc", "0.1,", ""])
     def test_non_numeric_eps_exits_2_naming_eps(self, capsys, eps):
         assert main(["vn", "sweep", "--eps", eps]) == 2
         err = capsys.readouterr().err
@@ -415,6 +416,23 @@ class TestSimulate:
         code, out = run(capsys, "simulate", "--scenario", str(scenario))
         assert code == 0
         assert results(out)["channel[0]"]["errors"]["value"] <= 1
+
+    def test_codebook_block_length_past_exact_float32_counts_exits_2(self, capsys):
+        # M = 2 codewords pass the cap; the bound is checked before the first block's (2, n) buffers exist
+        tracemalloc.start()
+        try:
+            code = main(
+                [
+                    "simulate", "--scenario", "builtin:bsc-quarter", "--method", "codebook",
+                    "--n", str(2**24 + 1), "--rate", "1e-9", "--trials", "1",
+                ]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "error: block_length 16777217 exceeds 2^24 = 16777216" in capsys.readouterr().err
+        assert peak < 2**24  # one float32 row of the scan would be 2^26 bytes
 
     def test_codeword_cap_exits_2(self, capsys):
         code, _ = run(

@@ -31,10 +31,15 @@ from ccdec.simulate import (
     Codebook,
     _any_competitor_reaches,
     _competitor_grid,
+    _competitor_scores,
     _count_log_counts,
+    _counts_at_least,
     _draw_symbols,
     _log_factorials,
+    _score_types,
+    _thresholds,
     _tie_threshold,
+    _trial_states,
     _type_mutual_information,
     format_count,
     joint_type_counts,
@@ -491,7 +496,7 @@ SCAN_CASES = {
 class TestCodebookScan:
     """The streamed, early-stopping codebook scan counts what a materialized codebook per trial counts."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 2**33 + 5])
     @pytest.mark.parametrize("side", [0, 1], ids=["below-capacity", "above-capacity"])
     @pytest.mark.parametrize("kind", ["ml", "gmap", "mmi"])
     @pytest.mark.parametrize("case", list(SCAN_CASES))
@@ -517,6 +522,35 @@ class TestCodebookScan:
             assert any(stops) and stats[0].num_codewords > ccdec.simulate._FIRST_BLOCK
         else:
             assert not all(stops)
+
+
+class TestCompetitorScores:
+    """The scan's column-layout scorer against ``_score_types`` on the joint types of random codewords."""
+
+    ALPHABETS = {
+        # channel shape, input
+        "1x3": ((1, 3), [1.0]),
+        "2x2": ((2, 2), [0.4, 0.6]),
+        "3x3-zero-mass-letter": ((3, 3), [0.5, 0.0, 0.5]),
+        "4x5": ((4, 5), [0.1, 0.2, 0.3, 0.4]),
+    }
+
+    @pytest.mark.parametrize("kind", ["ml", "gmap", "mmi"])
+    @pytest.mark.parametrize("alphabet", list(ALPHABETS))
+    def test_matches_score_types(self, rng, alphabet, kind):
+        (nx, ny), probs = self.ALPHABETS[alphabet]
+        p = Distribution(np.array(probs))
+        cset = CompoundSet(tuple(Channel(rng.dirichlet(np.ones(ny), size=nx)) for _ in range(3)), ((0,), (1, 2)))
+        decoder = family(SetAnalysis(cset, p), kind)
+        n, rows = 37, 300
+        u = rng.random((rows, n))
+        y = rng.integers(ny, size=n)
+        onehot = (y[:, None] == np.arange(ny)).astype(np.float32)
+        at_least = _counts_at_least(u, _thresholds(p.probs), onehot, np.empty((rows, n), dtype=np.float32))
+        got = _competitor_scores(at_least, np.bincount(y, minlength=ny), decoder, n)
+        words = (u[:, :, None] >= _thresholds(p.probs)).sum(axis=2)
+        want = _score_types(joint_type_counts(words, y, nx, ny), decoder, n)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # Every finite float, and scores around |s| = 1, where the band turns from absolute to relative.
@@ -647,20 +681,28 @@ class TestOutputTypeGrouping:
         ),
     }
 
-    @pytest.mark.parametrize("decoder", ["gmap", "mmi"])
-    @pytest.mark.parametrize("name", SETS)
-    def test_matches_trials_one_by_one(self, decoder, name):
+    def check_one_by_one(self, decoder, name, seed):
         matrices, probs, n, rate_bits = self.SETS[name]
         channels = [Channel(np.array(m)) for m in matrices]
         cset = CompoundSet(tuple(channels))
         p = Distribution(np.array(probs))
         metrics = () if decoder == "mmi" else build_metrics("map", channels, p)
         trials = 60
-        want, types = self.one_by_one(cset, Decoder(metrics), p, n, rate_bits, trials, seed=4)
+        want, types = self.one_by_one(cset, Decoder(metrics), p, n, rate_bits, trials, seed=seed)
         assert len(types) < len(channels) * trials  # output types repeat, so trials share grids
-        got = estimate_error(cset, Decoder(metrics), p, n, rate_bits, trials, seed=4, method="ensemble")
+        got = estimate_error(cset, Decoder(metrics), p, n, rate_bits, trials, seed=seed, method="ensemble")
         assert [(st.errors, st.mean_error_prob) for st in got] == want
         assert any(0 < errors < trials for errors, _ in want)
+
+    @pytest.mark.parametrize("decoder", ["gmap", "mmi"])
+    @pytest.mark.parametrize("name", SETS)
+    def test_matches_trials_one_by_one(self, decoder, name):
+        self.check_one_by_one(decoder, name, seed=4)
+
+    @pytest.mark.parametrize("decoder", ["gmap", "mmi"])
+    @pytest.mark.parametrize("name", SETS)
+    def test_matches_trials_one_by_one_at_a_multi_word_seed(self, decoder, name):
+        self.check_one_by_one(decoder, name, seed=2**33 + 5)
 
     @pytest.mark.parametrize("name", SETS)
     def test_one_grid_per_output_type_of_the_set(self, monkeypatch, name):
@@ -707,6 +749,14 @@ class TestTrueWords:
     @pytest.mark.parametrize("kind", ["ml", "gmap", "mmi"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_lone_trials(self, case, kind):
+        self.check_lone_trials(case, kind, seed=7)
+
+    @pytest.mark.parametrize("kind", ["ml", "gmap", "mmi"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_lone_trials_at_a_multi_word_seed(self, case, kind):
+        self.check_lone_trials(case, kind, seed=2**33 + 5)
+
+    def check_lone_trials(self, case, kind, seed):
         matrices, probs, n = self.CASES[case]
         channels = tuple(Channel(np.array(m)) for m in matrices)
         p = Distribution(np.array(probs))
@@ -715,12 +765,12 @@ class TestTrueWords:
         trials = 2 * rows + 3  # two full chunks and a ragged one
         num_codewords = 2**40
         msgs = [0, num_codewords - 1, *np.random.default_rng(3).integers(num_codewords, size=trials - 2).tolist()]
-        chunks = list(ccdec.simulate._true_words(channels[1], decoder, p, n, 7, 1, msgs))
+        chunks = list(ccdec.simulate._true_words(channels[1], decoder, p, n, seed, 1, msgs))
         assert [lo for lo, *_ in chunks] == [0, rows, 2 * rows]
         received = np.concatenate([y for _, y, _, _ in chunks])
         y_counts = np.concatenate([c for _, _, c, _ in chunks])
         scores = np.concatenate([s for *_, s in chunks])
-        want = list(self.lone_trials(channels[1], decoder, p, n, 7, 1, msgs))
+        want = list(self.lone_trials(channels[1], decoder, p, n, seed, 1, msgs))
         assert np.array_equal(received, [y for y, _, _ in want])
         assert np.array_equal(y_counts, [c for _, c, _ in want])
         assert scores.tobytes() == np.array([s for *_, s in want]).tobytes()
@@ -728,6 +778,42 @@ class TestTrueWords:
     def test_no_trials_no_chunks(self):
         p = Distribution(np.array([0.4, 0.6]))
         assert list(ccdec.simulate._true_words(Channel.bsc(0.1), Decoder(), p, 16, 1, 0, [])) == []
+
+
+class TestTrialStreams:
+    """One hashed pass seeds every trial's stream exactly as ``PCG64([seed, ch, t, k])`` does."""
+
+    # t spread over 0..4999, and one t that takes two entropy words
+    TS = [0, 1, 2, 3, 17, 255, 256, 1000, 2048, 3333, 4095, 4999, 2**32 + 7]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64, 2**130])
+    def test_matches_seeded_pcg64(self, seed):
+        for ch, k in itertools.product(range(3), range(4)):
+            want = [np.random.PCG64([seed, ch, t, k]).state for t in self.TS]
+            assert _trial_states(seed, ch, self.TS, k) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hyp_st.integers(0, 2**140 - 1),
+        ch=hyp_st.integers(0, 2**33),
+        ts=hyp_st.lists(hyp_st.integers(0, 2**40), min_size=1, max_size=4),
+        k=hyp_st.integers(0, 3),
+    )
+    def test_matches_seeded_pcg64_at_any_seed(self, seed, ch, ts, k):
+        assert _trial_states(seed, ch, ts, k) == [np.random.PCG64([seed, ch, t, k]).state for t in ts]
+
+    @pytest.mark.parametrize("num_codewords", [2, 3, 1000, 2**14])
+    def test_shared_generator_draws_the_seeded_messages(self, num_codewords):
+        # integers(M) draws buffered 32-bit halves; each reset must drop the buffer
+        rng = np.random.Generator(np.random.PCG64())
+        got = []
+        for state in _trial_states(2**33 + 5, 1, range(40), 1):
+            rng.bit_generator.state = state
+            got.append(int(rng.integers(num_codewords)))
+        assert got == [int(np.random.default_rng([2**33 + 5, 1, t, 1]).integers(num_codewords)) for t in range(40)]
+
+    def test_no_trials_no_states(self):
+        assert _trial_states(1, 0, range(0), 0) == []
 
 
 class TestLogFactorials:
