@@ -195,8 +195,12 @@ def cmd_analyze(args) -> int:
     for b, blk in enumerate(analysis.blocks):
         report.add("one_sided", f"component[{b}]", analysis.verdict(blk).one_sided)
 
-    for kind in FAMILIES:
-        rep = decoder_rates(analysis, family(analysis, kind))
+    # Every family's projections in one lockstep batch, in family order, so a
+    # stall raises the error that the first family to meet it would raise.
+    decoders = [family(analysis, kind) for kind in FAMILIES]
+    analysis.rates([(k, dec.metrics) for dec in decoders for k in range(cset.size)])
+    for kind, dec in zip(FAMILIES, decoders):
+        rep = decoder_rates(analysis, dec)
         for k, r in enumerate(rep.rates):
             report.add(f"rates_{kind}", f"channel[{k}]", float(r), "nats")
         report.add(f"rates_{kind}", "minimum", rep.minimum, "nats")

@@ -43,8 +43,8 @@ arithmetic on per-call overhead, and the fit makes thousands of calls.
 Lockstep fitting
 ----------------
 ``kl_projections`` solves many problems together.  Each problem runs its
-own search (``_solve``: the checks, the reachability LP, the bracket, the
-bisection and the landing fit) as a generator that yields each fit it
+own search (``_solve``: the checks, the reachability test, the bracket,
+the bisection and the landing fit) as a generator that yields each fit it
 needs: the kernel on its alive block, the marginals and the budget
 ``MAX_FIT_ITERS + 12 lam``.  Problems whose alive blocks share a shape take
 one slot each of stacked ``(B, |X|, |Y|)`` arrays, and one scaling
@@ -69,17 +69,23 @@ loop needs no special handling of ``-inf`` marginals.
 Infeasibility
 -------------
 A threshold above the maximum of ``E_mu[score]`` over the polytope cannot be
-met.  That maximum is a transportation linear program, which every active
-projection solves first (``_polytope_max``, by the numpy simplex that also
-solves the capacity master game); it is ``-inf`` when the support of
-``base`` holds no joint with the required marginals.  A threshold above it
-by more than ``INFEASIBLE_SLACK`` returns the ``+inf`` sentinel before any fit (not an
-exception: infima over constrained families legitimately touch this
-boundary).  ``E_mu[score]`` tends to the maximum only as ``lam`` grows
-without bound, so a threshold within the slack of it can still leave the
-multiplier at the cap short of the threshold; that is the sentinel too.  A
-fit that stalls is a ``SolverError``; in a batch, the first stalled
-problem's error is raised once the others finish.
+met.  That maximum is a transportation linear program (``_polytope_max``, by
+the numpy simplex that also solves the capacity master game); it is ``-inf``
+when the support of ``base`` holds no joint with the required marginals.  A
+threshold above it by more than ``INFEASIBLE_SLACK`` returns the ``+inf``
+sentinel before any fit (not an exception: infima over constrained families
+legitimately touch this boundary).  An active projection tests
+reachability before any fit.  Where ``base`` has full support on the alive
+block, the greedy matrix-maximum coupling (``_greedy_coupling``) is tried
+first: it is a joint of the polytope, so when its ``E[score]`` reaches the
+threshold, so does the maximum, and the LP is skipped.  Otherwise the LP
+decides, and its value is read only when it proves the threshold
+unreachable, so the skip changes no result.  ``E_mu[score]`` tends to the
+maximum only as ``lam`` grows without bound, so a threshold within the
+slack of it can still leave the multiplier at the cap short of the
+threshold; that is the sentinel too.  A fit that stalls is a
+``SolverError``; in a batch, the first stalled problem's error is raised
+once the others finish.
 """
 
 from __future__ import annotations
@@ -183,6 +189,25 @@ def _polytope_max(support: np.ndarray, r: np.ndarray, c: np.ndarray, d: np.ndarr
     if y[~support.ravel()].sum() > 1e-9:
         return -math.inf
     return float(d.ravel() @ y)
+
+
+def _greedy_coupling(r: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A joint with marginals (r, c) by the matrix-maximum rule: cells in decreasing ``d`` take what they can.
+
+    Each cell, ties in row-major order, takes the smaller of the mass its
+    row and its column still hold.  The result lies in the full-support
+    polytope up to roundoff, so its ``E[d]`` exceeds ``_polytope_max`` by
+    roundoff at most, far inside ``INFEASIBLE_SLACK``.
+    """
+    rows, cols = r.tolist(), c.tolist()
+    mu = np.zeros(d.shape)
+    for cell in np.argsort(-d, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, d.shape[1])
+        mass = min(rows[i], cols[j])
+        mu[i, j] = mass
+        rows[i] -= mass
+        cols[j] -= mass
+    return mu
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -342,10 +367,14 @@ def _solve(base: Joint, row: Distribution | np.ndarray, col: Distribution | np.n
             feasible=False,
         )
 
-    reachable = _polytope_max(b > 0.0, r, c, d)
-    if threshold > reachable + INFEASIBLE_SLACK:
-        # The threshold exceeds the maximum of the functional over the polytope.
-        return infeasible(reachable, 0.0)
+    support = b > 0.0
+    # A greedy coupling that reaches the threshold proves it reachable; the LP's
+    # value is read only when it proves the opposite.
+    if not (support.all() and float(np.sum(_greedy_coupling(r, c, d) * d)) >= threshold):
+        reachable = _polytope_max(support, r, c, d)
+        if threshold > reachable + INFEASIBLE_SLACK:
+            # The threshold exceeds the maximum of the functional over the polytope.
+            return infeasible(reachable, 0.0)
 
     with np.errstate(divide="ignore"):
         log_b = np.log(b)

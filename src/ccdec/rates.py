@@ -17,7 +17,9 @@ Builds on the constrained divergence projection:
   divergence table (``probability.kl_table``) gives its informations and
   the margins of every one-sided split, so verdicts and covers are lookups,
   and ``rates`` solves the projections of many rate requests in one
-  lockstep ``kl_projections`` call.
+  lockstep ``kl_projections`` call.  ``ccdec analyze`` requests all four
+  families' rates in one such call, and its ``decoder_rates`` calls then
+  read the record.
   ``worst_channel``, ``is_one_sided`` (when the single worst-channel metric
   achieves capacity), ``one_sided_cover`` and ``generalized_rate`` are
   views of a fresh record.
@@ -421,7 +423,9 @@ class SetAnalysis:
         the rate is the smallest per-metric projection value.  Infeasible
         branches (+inf) drop out of the minimum unless every branch is.
         Every projection missing from the record is solved in one
-        ``kl_projections`` call.
+        ``kl_projections`` call, and none is made when nothing is missing:
+        requests made together share one lockstep batch, and a later request
+        for the same projections reads the record.
         """
         plans, missing = [], {}
         for k, metrics in requests:
@@ -436,7 +440,8 @@ class SetAnalysis:
                 if key not in self._projections and key not in missing:
                     missing[key] = (self.products[k], row, col, d, threshold)
             plans.append(keys)
-        self._projections.update(zip(missing, kl_projections(list(missing.values()))))
+        if missing:
+            self._projections.update(zip(missing, kl_projections(list(missing.values()))))
         return [min(self._projections[key].value for key in keys) for keys in plans]
 
     def rate(self, k: int, metrics) -> float:

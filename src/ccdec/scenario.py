@@ -46,7 +46,7 @@ import numpy as np
 from .probability import Channel, Distribution
 from .rates import DECODERS, CompoundSet
 from .simulate import METHODS, check_parameter
-from .vn import Direction, DirectionSet, embed
+from .vn import Direction, DirectionSet, checked_epsilons, embed
 
 ROW_SUM_REPAIR_TOL = 1e-9
 
@@ -192,8 +192,7 @@ def _parse_vn(raw, path: str) -> VnBlock:
         eps = tuple(float(e) for e in raw.get("epsilons", (0.1, 0.05, 0.025)))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}.epsilons", f"expected a list of numbers: {exc}") from None
-    if not all(math.isfinite(e) and e > 0 for e in eps):
-        raise ScenarioError(f"{path}.epsilons", "epsilons must be finite and positive")
+    eps = _checked(f"{path}.epsilons", checked_epsilons, eps, "epsilons")
     return VnBlock(noise=noise, directions=dset, epsilons=eps)
 
 

@@ -389,12 +389,28 @@ def mismatched_rate_gap_table(
     return _gap_rows(exact.__getitem__, limit, eps_list)
 
 
-def vn_limit_gap(kind: str, instance: dict, eps_list) -> list[GapRow]:
-    """Dispatch on the convergence-table kind; see the specific tables.  Every eps must be finite and positive."""
+def checked_epsilons(eps_list, noun: str) -> tuple[float, ...]:
+    """``eps_list`` as a tuple of distinct, finite, positive eps whose table scale ``2 / eps**2`` is finite.
+
+    A ``ValueError`` names the first eps that fails, and ``noun``.  An eps
+    whose square overflows or underflows has no scale, and a repeated eps
+    would repeat a row.
+    """
     eps_list = tuple(eps_list)
-    for eps in eps_list:
+    for k, eps in enumerate(eps_list):
         if not (math.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+            raise ValueError(f"{noun} must be finite and positive, got {eps}")
+        square = float(eps) * float(eps)
+        if not (0.0 < square < math.inf and math.isfinite(2.0 / square)):
+            raise ValueError(f"{noun} must keep eps^2 and 2/eps^2 finite and positive, got {eps}")
+        if eps in eps_list[:k]:
+            raise ValueError(f"{noun} must be distinct, got {eps} twice")
+    return eps_list
+
+
+def vn_limit_gap(kind: str, instance: dict, eps_list) -> list[GapRow]:
+    """Dispatch on the convergence-table kind; see the specific tables and ``checked_epsilons``."""
+    eps_list = checked_epsilons(eps_list, "eps")
     if kind == "divergence":
         return divergence_gap_table(instance["dist"], instance["direction"], eps_list)
     if kind == "expected_log":

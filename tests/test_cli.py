@@ -322,6 +322,47 @@ class TestAnalyzeComputesEachQuantityOnce:
         assert len(informations) <= len(BUILTIN_SCENARIOS[name]()["channels"])
 
 
+class TestAnalyzeRatesEveryFamilyInOneBatch:
+    """``analyze`` solves the projections of all four families in one ``kl_projections`` call."""
+
+    @pytest.mark.parametrize("name, projections", [("union-one-sided", 24), ("counterexample", 15), ("bsc-quarter", 8)])
+    def test_one_call(self, capsys, monkeypatch, name, projections):
+        batches = []
+
+        def spy(problems):
+            batches.append(len(problems))
+            return kl_projections(problems)
+
+        monkeypatch.setattr(ccdec.rates, "kl_projections", spy)
+        code, _ = run(capsys, "analyze", "--scenario", f"builtin:{name}")
+        assert code == 0
+        assert batches == [projections]
+
+    @pytest.mark.parametrize("seed", range(1000, 1006))
+    def test_family_rates_match_a_fresh_record(self, capsys, monkeypatch, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        scenario = tmp_path / "set.json"
+        scenario.write_text(json.dumps({"channels": [rng.dirichlet(np.ones(4), size=3).tolist() for _ in range(8)]}))
+        reports = []
+
+        def spy(analysis, decoder):
+            rep = decoder_rates(analysis, decoder)
+            reports.append((analysis, rep))
+            return rep
+
+        monkeypatch.setattr(ccdec.cli, "decoder_rates", spy)
+        code, _ = run(capsys, "analyze", "--scenario", str(scenario))
+        assert code == 0
+        assert [rep.kind for _, rep in reports] == ["ml", "map", "glrt", "gmap"]
+        # One family after another on a fresh record: each call solves its own batch.
+        fresh = SetAnalysis(reports[0][0].cset, reports[0][0].input_dist)
+        for _, rep in reports:
+            want = decoder_rates(fresh, family(fresh, rep.kind))
+            assert rep.rates.tobytes() == want.rates.tobytes()
+            assert np.float64(rep.minimum).tobytes() == np.float64(want.minimum).tobytes()
+            assert rep.decoder.channels == want.decoder.channels
+
+
 class TestUnreachableThreshold:
     """On this seeded set, 42 of the projections at the capacity input have a
     threshold above the transportation-LP maximum (one by 0.18 nats); the LP
@@ -368,6 +409,32 @@ class TestVnSweep:
     def test_nonpositive_or_nan_eps_exits_2_naming_eps(self, capsys, eps):
         assert main(["vn", "sweep", "--eps", eps]) == 2
         assert f"error: eps must be finite and positive, got {float(eps)}" in capsys.readouterr().err
+
+    # 2 / eps**2 divides by an underflowed zero (1e-170), overflows to inf
+    # (1e-160), or eps**2 itself overflows (1e200); a repeated eps would
+    # repeat its rows and collapse its report keys.
+    BAD_EPS = [
+        ("1e-170", "must keep eps^2 and 2/eps^2 finite and positive, got 1e-170"),
+        ("0.1,1e-160", "must keep eps^2 and 2/eps^2 finite and positive, got 1e-160"),
+        ("1e200", "must keep eps^2 and 2/eps^2 finite and positive, got 1e+200"),
+        ("0.1,0.05,0.1", "must be distinct, got 0.1 twice"),
+    ]
+
+    @pytest.mark.parametrize("eps, message", BAD_EPS)
+    def test_unscalable_or_repeated_eps_exits_2(self, capsys, eps, message):
+        assert main(["vn", "sweep", "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: eps {message}\n")
+
+    @pytest.mark.parametrize("eps, message", BAD_EPS)
+    def test_unscalable_or_repeated_scenario_epsilons_exit_2(self, capsys, tmp_path, eps, message):
+        doc = {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [-1.0, 1.0]]], "epsilons": []}}
+        doc["vn"]["epsilons"] = [float(e) for e in eps.split(",")]
+        scenario = tmp_path / "vn.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["vn", "sweep", "--scenario", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: vn.epsilons: epsilons {message}\n")
 
     @pytest.mark.parametrize("eps", ["0.1,abc", "0.1,", ""])
     def test_non_numeric_eps_exits_2_naming_eps(self, capsys, eps):

@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 import ccdec.projection
 from ccdec import Channel, Distribution, Joint, joint_of, kl_divergence, kl_projection, mutual_information
-from ccdec.projection import _logsumexp, _polytope_max, _simplex, _transport_constraints
+from ccdec.projection import _greedy_coupling, _logsumexp, _polytope_max, _simplex, _transport_constraints
 from conftest import bsc_capacity_nats, random_channel, random_distribution
 
 
@@ -467,3 +467,149 @@ class TestBatch:
         with pytest.raises(ccdec.projection.SolverError) as batch:
             ccdec.projection.kl_projections([inactive, stalling[1], stalling[0]])
         assert str(batch.value) == messages[1]
+
+
+def greedy_value(r, c, d):
+    return float(np.sum(_greedy_coupling(r, c, d) * d))
+
+
+def log_metric_problems(rng, count):
+    """Seeded 2-6 x 2-6 problems with log-probability metrics, ``k % 6`` choosing the threshold.
+
+    0 matched (``log W0`` at its own score), 1 inactive, 2 interior, 3 above
+    the LP maximum, 4 interior on a base with zero cells (the channel joint
+    itself), 5 reachable but above the greedy coupling's value where that
+    falls short of the maximum, else below it.  Interior thresholds keep
+    clear of the maximum, where the multiplier runs to its cap.  Every fifth
+    problem has a zero input letter and every seventh a zero output letter.
+    """
+    problems = []
+    for k in range(count):
+        nx, ny = (int(n) for n in rng.integers(2, 7, size=2))
+        p = rng.dirichlet(np.ones(nx))
+        w = rng.dirichlet(np.ones(ny), size=nx)
+        if k % 6 == 4:
+            w[rng.random((nx, ny)) < 0.3] = 0.0
+            w[np.arange(nx), rng.integers(ny, size=nx)] += 0.5  # every row keeps some mass
+        if k % 5 == 0:
+            p[rng.integers(nx)] = 0.0
+        if k % 7 == 0:
+            w[:, rng.integers(ny)] = 0.0
+        p /= p.sum()
+        w /= w.sum(axis=1, keepdims=True)
+        mu0 = p[:, None] * w
+        row, col = mu0.sum(axis=1), mu0.sum(axis=0)
+        base = mu0 if k % 6 == 4 else np.outer(row, col)
+        rows, cols = row > 0.0, col > 0.0
+        alive = np.ix_(rows, cols)
+        if k % 6 == 0:
+            d = np.log(np.where(w > 0.0, w, 1.0))
+            threshold = float(np.sum(mu0 * d))
+        else:
+            d = np.log(rng.dirichlet(np.ones(ny), size=nx))
+            low = float(np.sum(base * d))
+            top = _polytope_max(base[alive] > 0.0, row[rows], col[cols], d[alive])
+            greedy = greedy_value(row[rows], col[cols], d[alive])
+            threshold = {
+                1: low - 0.1,
+                2: low + rng.uniform(0.05, 0.9) * (top - low),
+                3: top + 0.01,
+                4: low + rng.uniform(0.05, 0.9) * (top - low),
+                5: greedy + 0.5 * (top - greedy) if top - greedy > 0.05 else low + 0.5 * (greedy - low),
+            }[k % 6]
+        problems.append((Joint(base), Distribution(row), Distribution(col), d, threshold))
+    return problems
+
+
+class TestGreedyCoupling:
+    """The matrix-maximum coupling settles reachable thresholds without the LP, and changes no result."""
+
+    def test_is_a_coupling_below_the_lp_maximum(self):
+        rng = np.random.default_rng(29)
+        for k in range(500):
+            nx, ny = (int(n) for n in rng.integers(2, 7, size=2))
+            if k % 3 == 0:
+                # marginals in tenths: equal partial sums and dead letters
+                r = rng.multinomial(10, np.ones(nx) / nx) / 10
+                c = rng.multinomial(10, np.ones(ny) / ny) / 10
+            else:
+                r, c = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+            d = np.log(rng.dirichlet(np.ones(ny), size=nx))
+            mu = _greedy_coupling(r, c, d)
+            assert mu.min() >= 0.0
+            np.testing.assert_allclose(mu.sum(axis=1), r, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(mu.sum(axis=0), c, rtol=0.0, atol=1e-14)
+            support = np.ones((nx, ny), dtype=bool)
+            value = float(np.sum(mu * d))
+            assert value <= _polytope_max(support, r, c, d) + 1e-12
+            assert value <= highs_polytope_max(support, r, c, d) + 1e-9
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        """The problems, their results and the arguments of every ``_polytope_max`` call made."""
+        problems = log_metric_problems(np.random.default_rng(30), 300)
+        # A base whose support holds no joint with the uniform marginals.
+        uniform = Distribution.uniform(2)
+        problems.insert(11, (Joint(np.array([[0.5, 0.0], [0.5, 0.0]])), uniform, uniform, np.eye(2), 0.6))
+        lp_calls = []
+
+        def counted(*args):
+            lp_calls.append(args)
+            return _polytope_max(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ccdec.projection, "_polytope_max", counted)
+            results = ccdec.projection.kl_projections(problems)
+        return problems, results, lp_calls
+
+    def test_results_match_the_lp_path(self, solved, monkeypatch):
+        problems, greedy, _ = solved
+        lp_calls = []
+
+        def counted(*args):
+            lp_calls.append(args)
+            return _polytope_max(*args)
+
+        # The product coupling scores below every active threshold of a product base.
+        monkeypatch.setattr(ccdec.projection, "_greedy_coupling", lambda r, c, d: np.outer(r, c))
+        monkeypatch.setattr(ccdec.projection, "_polytope_max", counted)
+        forced = ccdec.projection.kl_projections(problems)
+        assert [result_bits(r) for r in greedy] == [result_bits(r) for r in forced]
+        active = sum(float(np.sum(base.matrix * d)) < t for base, _, _, d, t in problems)
+        assert len(lp_calls) == active
+        assert sum(r.feasible and r.multiplier == 0.0 for r in greedy) > 0  # inactive
+        assert sum(not r.feasible and r.constraint_gap == -math.inf for r in greedy) == 1  # no coupling
+        assert sum(not r.feasible and r.fit_iterations == 0 for r in greedy) > 1  # LP-unreachable
+        assert sum(r.multiplier == 1.0 and r.bisection_steps == 0 for r in greedy) > 0  # matched
+        assert sum(r.bisection_steps > 0 for r in greedy) > 0
+        assert any(row.size > np.count_nonzero(row.probs) for _, row, _, _, _ in problems)
+        assert any(col.size > np.count_nonzero(col.probs) for _, _, col, _, _ in problems)
+        assert any(not np.all(base.matrix > 0.0) for base, _, _, _, _ in problems)
+
+    def test_lp_skipped_where_the_coupling_reaches(self, solved):
+        problems, _, lp_calls = solved
+        reached = set()
+        for base, row, col, d, threshold in problems:
+            rows, cols = row.probs > 0.0, col.probs > 0.0
+            alive = np.ix_(rows, cols)
+            full = np.all(base.matrix[alive] > 0.0)
+            if full and greedy_value(row.probs[rows], col.probs[cols], d[alive]) >= threshold:
+                reached.add(d[alive].tobytes())
+        assert len(reached) > 100 and lp_calls
+        assert reached.isdisjoint(d.tobytes() for _, _, _, d in lp_calls)
+
+    def test_stall_raises_the_same_error(self, monkeypatch):
+        # The first fit of this near-boundary problem stops after 13 iterations.
+        monkeypatch.setattr(ccdec.projection, "MAX_FIT_ITERS", 1)
+        rng = np.random.default_rng(31)
+        row, col = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+        d = np.log(rng.dirichlet(np.ones(4), size=3))
+        threshold = greedy_value(row, col, d) - 1e-3
+        problem = (Joint(np.outer(row, col)), Distribution(row), Distribution(col), d, threshold)
+        with pytest.raises(ccdec.projection.SolverError) as greedy:
+            ccdec.projection.kl_projections([problem])
+        monkeypatch.setattr(ccdec.projection, "_greedy_coupling", lambda r, c, d: np.outer(r, c))
+        with pytest.raises(ccdec.projection.SolverError) as forced:
+            ccdec.projection.kl_projections([problem])
+        assert str(greedy.value) == str(forced.value)
+        assert str(greedy.value).startswith("marginal fitting stalled")
