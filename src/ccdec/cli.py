@@ -274,29 +274,14 @@ def cmd_vn_counterexample(args) -> int:
 
 def cmd_vn_sweep(args) -> int:
     scenario, p_x = _vn_input(args)
-    vnb = scenario.vn
-    eps = vnb.epsilons
+    eps = scenario.vn.epsilons
     if args.eps is not None:
         try:
             eps = tuple(float(e) for e in args.eps.split(","))
         except ValueError:
             raise ValueError(f"eps must be a comma-separated list of numbers, got {args.eps!r}") from None
-    dirs = vnb.directions.directions
-    instances = {
-        "divergence": {"dist": vnb.noise, "direction": dirs[0].values[0]},
-        "expected_log": {
-            "input": p_x,
-            "directions": (dirs[0], dirs[min(1, len(dirs) - 1)], dirs[0], dirs[0]),
-        },
-        "mismatched_rate": {
-            "input": p_x,
-            "true": dirs[0],
-            "metric": dirs[min(1, len(dirs) - 1)],
-        },
-    }
     report = Report(meta={"command": "vn sweep", "scenario": scenario.name, "units": "vn"})
-    for kind, instance in instances.items():
-        rows = vn_limit_gap(kind, instance, eps)
+    for kind, rows in vn_limit_gap(scenario.vn.directions, p_x, eps).items():
         for r in rows:
             report.add(kind, f"scaled[eps={r.eps:g}]", r.scaled, "vn-rate")
             report.add(kind, f"gap[eps={r.eps:g}]", r.gap, "vn-rate")

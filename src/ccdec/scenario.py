@@ -71,7 +71,6 @@ class SimulationConfig:
 
 @dataclass
 class VnBlock:
-    noise: Distribution
     directions: DirectionSet
     epsilons: tuple[float, ...]
 
@@ -193,7 +192,7 @@ def _parse_vn(raw, path: str) -> VnBlock:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}.epsilons", f"expected a list of numbers: {exc}") from None
     eps = _checked(f"{path}.epsilons", checked_epsilons, eps, "epsilons")
-    return VnBlock(noise=noise, directions=dset, epsilons=eps)
+    return VnBlock(directions=dset, epsilons=eps)
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:

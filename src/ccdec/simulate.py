@@ -420,19 +420,19 @@ def _blocks(m: int):
         lo, size = hi, 2 * size
 
 
-def _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
-    """Codeword ``msgs[t]`` of each trial ``t`` of channel ``ch_idx`` sent through ``channel``, a chunk at a time.
+def _true_words(channel, decoder, input_dist, n, word_states, channel_states, msgs):
+    """Codeword ``msgs[t]`` of each trial ``t`` sent through ``channel``, a chunk at a time.
 
     Yields ``(lo, received, y_counts, scores)`` per chunk of trials
     ``lo, lo + 1, ...``: their received words ``(rows, n)``, output counts
     ``(rows, |Y|)`` and true scores ``(rows,)``.  Trial ``t`` reads its word
-    from ``PCG64([seed, ch_idx, t, 0])`` advanced ``msgs[t] * n`` draws and
-    its channel uniforms from ``[seed, ch_idx, t, 2]``, and its score is bit
-    for bit that of ``score_codewords`` on the word alone.  The states of
-    the trials' word and channel streams come from ``_trial_states``, one
-    hashed pass each, and one generator is reset to each in turn; a chunk's
-    letters, outputs, joint types (one ``bincount``) and scores take one
-    pass each.
+    from the stream that starts at ``word_states[t]``, advanced
+    ``msgs[t] * n`` draws, and its channel uniforms from the one at
+    ``channel_states[t]``; the caller takes both from ``_trial_states``
+    (``k = 0`` and ``k = 2``), so the codebook scan reuses the word states.
+    A trial's score is bit for bit that of ``score_codewords`` on the word
+    alone.  One generator is reset to each state in turn; a chunk's letters,
+    outputs, joint types (one ``bincount``) and scores take one pass each.
     """
     nx, ny = channel.nx, channel.ny
     rows = max(1, _CHUNK_SYMBOLS // n)
@@ -440,8 +440,6 @@ def _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
     channel_u = np.empty((rows, n))
     thresholds = _thresholds(input_dist.probs)
     cum = np.cumsum(channel.matrix, axis=1)
-    word_states = _trial_states(seed, ch_idx, range(len(msgs)), 0)
-    channel_states = _trial_states(seed, ch_idx, range(len(msgs)), 2)
     rng = np.random.Generator(np.random.PCG64())
     for lo in range(0, len(msgs), rows):
         m = min(rows, len(msgs) - lo)
@@ -676,7 +674,8 @@ def estimate_error(
         true_scores = np.empty((cset.size, trials))
         by_type: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for ch_idx, channel in enumerate(cset.channels):
-            for lo, _, y_counts, scores in _true_words(channel, decoder, input_dist, n, seed, ch_idx, [0] * trials):
+            states = (_trial_states(seed, ch_idx, range(trials), k) for k in (0, 2))
+            for lo, _, y_counts, scores in _true_words(channel, decoder, input_dist, n, *states, [0] * trials):
                 true_scores[ch_idx, lo : lo + len(scores)] = scores
                 for t, row in enumerate(y_counts.tolist(), start=lo):
                     by_type.setdefault(tuple(row), []).append((ch_idx, t))
@@ -704,11 +703,12 @@ def estimate_error(
             for state in _trial_states(seed, ch_idx, range(trials), 1):
                 rng.bit_generator.state = state
                 msgs.append(int(rng.integers(num_codewords)))
-            scan_states = _trial_states(seed, ch_idx, range(trials), 0)
-            for lo, received, y_counts, scores in _true_words(channel, decoder, input_dist, n, seed, ch_idx, msgs):
+            word_states, channel_states = (_trial_states(seed, ch_idx, range(trials), k) for k in (0, 2))
+            words = _true_words(channel, decoder, input_dist, n, word_states, channel_states, msgs)
+            for lo, received, y_counts, scores in words:
                 for t, y, y_count, s_true in zip(range(lo, lo + len(scores)), received, y_counts, scores.tolist()):
                     onehot = (y[:, None] == np.arange(ny)).astype(np.float32)
-                    rng.bit_generator.state = scan_states[t]
+                    rng.bit_generator.state = word_states[t]
                     best = _scan_codebook(
                         rng, thresholds, onehot, y_count, decoder, scratch, num_codewords, msgs[t], s_true
                     )

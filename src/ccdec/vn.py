@@ -30,7 +30,8 @@ the MAP family does not.
 
 ``embed`` maps a direction back to an honest channel at a finite ``e``, and
 ``*_gap_table`` report how fast the exact, rescaled quantities approach
-their limits.
+their limits; ``vn_limit_gap`` computes the three tables of ``vn sweep``
+for a direction set in one call, after checking its eps once.
 """
 
 from __future__ import annotations
@@ -390,38 +391,46 @@ def mismatched_rate_gap_table(
 
 
 def checked_epsilons(eps_list, noun: str) -> tuple[float, ...]:
-    """``eps_list`` as a tuple of distinct, finite, positive eps whose table scale ``2 / eps**2`` is finite.
+    """``eps_list`` as a nonempty tuple of distinct, finite, positive eps whose table scale ``2 / eps**2`` is finite.
 
     A ``ValueError`` names the first eps that fails, and ``noun``.  An eps
-    whose square overflows or underflows has no scale, and a repeated eps
-    would repeat a row.
+    whose square overflows or underflows has no scale.  A repeated eps
+    would repeat a row, and so would two eps with the same 6-significant-digit
+    form ``f"{eps:g}"``, which keys a row of ``vn sweep``'s report.
     """
     eps_list = tuple(eps_list)
+    if not eps_list:
+        raise ValueError(f"{noun} must list at least one value")
     for k, eps in enumerate(eps_list):
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"{noun} must be finite and positive, got {eps}")
         square = float(eps) * float(eps)
         if not (0.0 < square < math.inf and math.isfinite(2.0 / square)):
             raise ValueError(f"{noun} must keep eps^2 and 2/eps^2 finite and positive, got {eps}")
-        if eps in eps_list[:k]:
-            raise ValueError(f"{noun} must be distinct, got {eps} twice")
+        for prev in eps_list[:k]:
+            if prev == eps:
+                raise ValueError(f"{noun} must be distinct, got {eps} twice")
+            if f"{prev:g}" == f"{eps:g}":
+                raise ValueError(f"{noun} must be distinct in 6 significant digits, got {prev} and {eps}")
     return eps_list
 
 
-def vn_limit_gap(kind: str, instance: dict, eps_list) -> list[GapRow]:
-    """Dispatch on the convergence-table kind; see the specific tables and ``checked_epsilons``."""
+def vn_limit_gap(dset: DirectionSet, input_dist: Distribution, eps_list) -> dict[str, list[GapRow]]:
+    """The three limit-gap tables of ``vn sweep`` over ``eps_list``, keyed by kind.
+
+    ``L0`` is the first direction and ``L1`` the second (``L0`` again in a
+    one-direction set).  ``divergence`` perturbs the noise along the first
+    row of ``L0``, ``expected_log`` compares ``(L0, L1)`` with ``(L0, L0)``,
+    and ``mismatched_rate`` scores ``L0`` with the metric of ``L1``.  The
+    eps are checked once, by ``checked_epsilons``.
+    """
     eps_list = checked_epsilons(eps_list, "eps")
-    if kind == "divergence":
-        return divergence_gap_table(instance["dist"], instance["direction"], eps_list)
-    if kind == "expected_log":
-        return expected_log_gap_table(
-            tuple(instance["directions"]), instance["input"], eps_list
-        )
-    if kind == "mismatched_rate":
-        return mismatched_rate_gap_table(
-            instance["true"], instance["metric"], instance["input"], eps_list
-        )
-    raise ValueError(f"unknown gap table kind {kind!r}")
+    l0, l1 = dset.directions[0], dset.directions[min(1, dset.size - 1)]
+    return {
+        "divergence": divergence_gap_table(dset.noise, l0.values[0], eps_list),
+        "expected_log": expected_log_gap_table((l0, l1, l0, l0), input_dist, eps_list),
+        "mismatched_rate": mismatched_rate_gap_table(l0, l1, input_dist, eps_list),
+    }
 
 
 @dataclass

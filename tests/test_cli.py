@@ -418,6 +418,8 @@ class TestVnSweep:
         ("0.1,1e-160", "must keep eps^2 and 2/eps^2 finite and positive, got 1e-160"),
         ("1e200", "must keep eps^2 and 2/eps^2 finite and positive, got 1e+200"),
         ("0.1,0.05,0.1", "must be distinct, got 0.1 twice"),
+        # Both would key their rows scaled[eps=0.1].
+        ("0.1,0.1000001", "must be distinct in 6 significant digits, got 0.1 and 0.1000001"),
     ]
 
     @pytest.mark.parametrize("eps, message", BAD_EPS)
@@ -435,6 +437,14 @@ class TestVnSweep:
         assert main(["vn", "sweep", "--scenario", str(scenario)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: vn.epsilons: epsilons {message}\n")
+
+    def test_empty_scenario_epsilons_exit_2(self, capsys, tmp_path):
+        doc = {"vn": {"noise": [0.5, 0.5], "directions": [[[1.0, -1.0], [-1.0, 1.0]]], "epsilons": []}}
+        scenario = tmp_path / "vn.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["vn", "sweep", "--scenario", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: vn.epsilons: epsilons must list at least one value\n")
 
     @pytest.mark.parametrize("eps", ["0.1,abc", "0.1,", ""])
     def test_non_numeric_eps_exits_2_naming_eps(self, capsys, eps):

@@ -125,6 +125,24 @@ class TestSolverContract:
         # the feasible joint concentrates on the diagonal
         assert res.value == pytest.approx(math.log(2), rel=1e-3)
 
+    # The module promises the +inf sentinel within INFEASIBLE_SLACK of the
+    # polytope maximum, or a value; at these seeds the bracket's fits at
+    # large lam stall first.  ROADMAP item 2's Newton dual would settle them.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ccdec.projection.SolverError,
+        reason="ROADMAP item 2: marginal fitting stalls on a threshold exactly at the polytope maximum",
+    )
+    @pytest.mark.parametrize("seed", [13, 32])
+    def test_threshold_exactly_at_polytope_maximum(self, seed):
+        rng = np.random.default_rng(seed)
+        row, col = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(6))
+        d = np.log(rng.dirichlet(np.ones(6), size=3))
+        base = np.outer(row, col)
+        top = _polytope_max(base > 0.0, row, col, d)
+        res = kl_projection(Joint(base), Distribution(row), Distribution(col), d, top)
+        assert (res.value == math.inf and not res.feasible) or (res.feasible and 0.0 <= res.value < math.inf)
+
     def test_constraint_met_at_stop(self, rng):
         for _ in range(20):
             p = random_distribution(rng, 3)

@@ -81,7 +81,7 @@ class TestLoadScenario:
         }
         sc = scenario_from_dict(raw)
         d = sc.vn.directions.directions[0]
-        assert np.abs(d.values @ sc.vn.noise.probs).max() <= 1e-15
+        assert np.abs(d.values @ sc.vn.directions.noise.probs).max() <= 1e-15
 
     def test_vn_direction_row_average_too_far_rejected(self):
         raw = {
@@ -242,7 +242,7 @@ class TestBuiltins:
         assert np.allclose(dirs[0].values, [[-2, 2], [-7, 7]])
         assert np.allclose(dirs[1].values, [[2, -2], [0, 0]])
         assert np.allclose(dirs[2].values, [[-1, 1], [1, -1]])
-        assert np.allclose(sc.vn.noise.probs, [0.5, 0.5])
+        assert np.allclose(sc.vn.directions.noise.probs, [0.5, 0.5])
         assert sc.vn.directions.components == ((0, 1), (2,))
         # channels are the embedded directions at the bundled epsilon
         assert np.allclose(sc.channels.channels[0].matrix, [[0.45, 0.55], [0.325, 0.675]])

@@ -765,7 +765,8 @@ class TestTrueWords:
         trials = 2 * rows + 3  # two full chunks and a ragged one
         num_codewords = 2**40
         msgs = [0, num_codewords - 1, *np.random.default_rng(3).integers(num_codewords, size=trials - 2).tolist()]
-        chunks = list(ccdec.simulate._true_words(channels[1], decoder, p, n, seed, 1, msgs))
+        states = [ccdec.simulate._trial_states(seed, 1, range(trials), k) for k in (0, 2)]
+        chunks = list(ccdec.simulate._true_words(channels[1], decoder, p, n, *states, msgs))
         assert [lo for lo, *_ in chunks] == [0, rows, 2 * rows]
         received = np.concatenate([y for _, y, _, _ in chunks])
         y_counts = np.concatenate([c for _, _, c, _ in chunks])
@@ -777,7 +778,7 @@ class TestTrueWords:
 
     def test_no_trials_no_chunks(self):
         p = Distribution(np.array([0.4, 0.6]))
-        assert list(ccdec.simulate._true_words(Channel.bsc(0.1), Decoder(), p, 16, 1, 0, [])) == []
+        assert list(ccdec.simulate._true_words(Channel.bsc(0.1), Decoder(), p, 16, [], [], [])) == []
 
 
 class TestTrialStreams:

@@ -30,11 +30,13 @@ from ccdec import (
 )
 from ccdec import projection
 from ccdec.rates import SetAnalysis
+from ccdec.scenario import load_scenario
 from ccdec.vn import (
     _gram,
     divergence_gap_table,
     expected_log_gap_table,
     mismatched_rate_gap_table,
+    vn_limit_gap,
 )
 
 NOISE = Distribution(np.array([0.5, 0.5]))
@@ -479,6 +481,48 @@ class TestLimitGaps:
             expected_log_gap_table((L0, L1, L0, L0), UNIFORM, [0.08, 0.04]),
         ):
             assert table[1].gap <= 0.75 * table[0].gap
+
+
+class TestLimitGapSweep:
+    """``vn_limit_gap`` is the three tables called on the sweep's directions, row for row."""
+
+    @staticmethod
+    def direct(dset, p, eps):
+        l0, l1 = dset.directions[0], dset.directions[min(1, dset.size - 1)]
+        return {
+            "divergence": divergence_gap_table(dset.noise, l0.values[0], eps),
+            "expected_log": expected_log_gap_table((l0, l1, l0, l0), p, eps),
+            "mismatched_rate": mismatched_rate_gap_table(l0, l1, p, eps),
+        }
+
+    def test_builtin_counterexample(self):
+        sc = load_scenario("builtin:counterexample")
+        eps = (0.1, 0.05, 0.025, 0.0125)
+        got = vn_limit_gap(sc.vn.directions, sc.input_dist, eps)
+        assert list(got) == ["divergence", "expected_log", "mismatched_rate"]
+        assert got == self.direct(sc.vn.directions, sc.input_dist, eps)
+
+    def test_one_direction_set_scores_with_its_own_metric(self, rng):
+        noise = Distribution(np.array([0.2, 0.3, 0.5]))
+        p = Distribution(np.array([0.3, 0.7]))
+        dset = DirectionSet((random_direction(rng, 2, noise),))
+        eps = (0.02, 0.01)
+        got = vn_limit_gap(dset, p, eps)
+        assert got == self.direct(dset, p, eps)
+        # L1 = L0: the matched rate's limit is the centered norm
+        assert got["mismatched_rate"][0].limit == center(dset.directions[0], p).centered_norm_sq
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ([], "eps must list at least one value"),
+            ([0.1, 0.1000001], "eps must be distinct in 6 significant digits, got 0.1 and 0.1000001"),
+        ],
+    )
+    def test_unusable_eps_list_raises(self, eps, message):
+        with pytest.raises(ValueError) as exc:
+            vn_limit_gap(DirectionSet((L0, L1)), UNIFORM, eps)
+        assert str(exc.value) == message
 
 
 class TestBlindPolytope:
